@@ -401,7 +401,8 @@ void BM_RegularizationGram(benchmark::State& state) {
 }
 BENCHMARK(BM_RegularizationGram);
 
-/// One IPS training step via the autograd tape.
+/// One IPS training step via the autograd tape, reusing one tape across
+/// iterations as the trainers do (Reset keeps the node buffers).
 void BM_IpsStepTape(benchmark::State& state) {
   const size_t batch = 2048, m = 943, n = 1682, dim = 8;
   Rng rng(5);
@@ -415,14 +416,14 @@ void BM_IpsStepTape(benchmark::State& state) {
     labels(i, 0) = rng.Bernoulli(0.5);
     weights(i, 0) = rng.Bernoulli(0.1) ? 10.0 / batch : 0.0;
   }
+  ag::Tape tape;
   for (auto _ : state) {
-    ag::Tape tape;
+    tape.Reset();
     ag::Var vp = tape.Leaf(p);
     ag::Var vq = tape.Leaf(q);
-    ag::Var probs = ag::Sigmoid(ag::RowwiseDot(ag::GatherRows(vp, users),
-                                               ag::GatherRows(vq, items)));
-    ag::Var e = ag::Square(ag::Sub(tape.Constant(labels), probs));
-    ag::Var loss = ag::WeightedSumElems(e, weights);
+    ag::Var logits = ag::RowwiseDot(ag::GatherRows(vp, users),
+                                    ag::GatherRows(vq, items));
+    ag::Var loss = ag::SigmoidSquaredErrorSum(logits, labels, weights);
     tape.Backward(loss);
     benchmark::DoNotOptimize(tape.GradOf(vp));
   }

@@ -7,9 +7,11 @@
 
 namespace dtrec::ag {
 
-// Differentiable ops over tape Vars. Each records a node whose backward fn
-// accumulates into its parents. Shapes are validated eagerly. Both operands
-// must live on the same tape.
+// Differentiable ops over tape Vars. Each records a typed node (see
+// ag::Op) whose backward rule accumulates into its parents. Shapes are
+// validated eagerly. Both operands must live on the same tape. Constant
+// Matrix operands are copied into the node, so the caller's matrix may
+// change or die right after the call.
 
 /// c = a + b (element-wise; shapes must match).
 Var Add(Var a, Var b);
@@ -61,10 +63,16 @@ Var Mean(Var a);
 Var FrobeniusSq(Var a);
 
 /// Gathers the listed rows; duplicates allowed. Backward scatter-adds.
-Var GatherRows(Var a, std::vector<size_t> rows);
+Var GatherRows(Var a, const std::vector<size_t>& rows);
 
 /// Horizontal concatenation [A | B].
 Var HConcat(Var a, Var b);
+
+/// Pairwise interaction features [A | B | A∘B] of two equal-shape B×K
+/// inputs -> B×3K: the input of the MLP towers over a (user, item) pair.
+/// One node, bit-identical in value and gradients to
+/// HConcat(HConcat(a, b), Mul(a, b)) built in that order.
+Var PairFeatures(Var a, Var b);
 
 /// Per-row dot product of two equal-shape B×K inputs -> B×1. This is the
 /// matrix-factorization scoring primitive: batch of user rows · batch of
@@ -101,6 +109,14 @@ Var GramFrobeniusSq(Var a, Var b);
 /// which equals Σ w·BCE(σ(l), y). Gradient w.r.t. logits: w·(σ(l) − y).
 /// `targets` and `weights` are constants with a's shape.
 Var SigmoidBceSum(Var logits, const Matrix& targets, const Matrix& weights);
+
+/// Weighted squared error of the predicted probability against labels:
+///   out = Σ_i w_i · (y_i − σ(l_i))²                        (1×1)
+/// the rating loss of the IPS estimator (per-cell weights o/p̂/B) and of
+/// its naive / SNIPS variants. One node, bit-identical in value and
+/// gradient to WeightedSumElems(Square(Sub(Constant(y), Sigmoid(l))), w).
+Var SigmoidSquaredErrorSum(Var logits, const Matrix& labels,
+                           const Matrix& weights);
 
 }  // namespace dtrec::ag
 

@@ -1,93 +1,107 @@
 #include "autograd/tape.h"
 
-#include <utility>
-
 #include "util/logging.h"
 #include "util/numeric_guard.h"
 
 namespace dtrec::ag {
 
-Var Tape::Leaf(Matrix value) {
-  Node node;
-  node.grad = Matrix(value.rows(), value.cols());
-  node.value = std::move(value);
-  nodes_.push_back(std::move(node));
-  return Var(this, nodes_.size() - 1);
+Var Tape::NewNode(Op op, size_t rows, size_t cols) {
+  if (size_ == nodes_.size()) nodes_.push_back(std::make_unique<Node>());
+  Node& node = *nodes_[size_];
+  node.op = op;
+  node.num_parents = 0;
+  node.value.Resize(rows, cols);
+  node.grad.Resize(rows, cols);
+  node.grad.SetZero();
+  return Var(this, size_++, generation_);
 }
 
-Var Tape::Constant(Matrix value) {
-  Node node;
-  node.grad = Matrix(value.rows(), value.cols());
-  node.value = std::move(value);
-  node.is_constant = true;
-  nodes_.push_back(std::move(node));
-  return Var(this, nodes_.size() - 1);
+Var Tape::Leaf(const Matrix& value) {
+  const Var v = NewNode(Op::kLeaf, value.rows(), value.cols());
+  nodes_[v.id()]->value = value;
+  return v;
 }
 
-Var Tape::MakeNode(Matrix value, std::vector<size_t> parents,
-                   std::function<void(Tape*, size_t)> backward) {
-  for (size_t p : parents) DTREC_CHECK_LT(p, nodes_.size());
-  Node node;
-  node.grad = Matrix(value.rows(), value.cols());
-  node.value = std::move(value);
-  node.parents = std::move(parents);
-  node.backward = std::move(backward);
-  nodes_.push_back(std::move(node));
-  return Var(this, nodes_.size() - 1);
+Var Tape::Constant(const Matrix& value) {
+  const Var v = NewNode(Op::kConstant, value.rows(), value.cols());
+  nodes_[v.id()]->value = value;
+  return v;
+}
+
+Var Tape::AddNode(Op op, size_t rows, size_t cols, Var a, Var b) {
+  CheckLive(a);
+  if (b.valid()) CheckLive(b);
+  const Var v = NewNode(op, rows, cols);
+  Node& node = *nodes_[v.id()];
+  node.parents[0] = a.id();
+  node.parents[1] = b.id();
+  node.num_parents = b.valid() ? 2 : 1;
+  return v;
+}
+
+Tape::Node& Tape::MutableNode(Var v) {
+  CheckLive(v);
+  return *nodes_[v.id()];
 }
 
 void Tape::Backward(Var loss) {
-  DTREC_CHECK(loss.valid() && loss.tape() == this);
+  CheckLive(loss);
   DTREC_CHECK_EQ(ValueOf(loss).rows(), 1u);
   DTREC_CHECK_EQ(ValueOf(loss).cols(), 1u);
 
   // Mark nodes reachable from the loss so unrelated graph segments (e.g. a
-  // second head built on the same tape) do not run their backward fns.
-  std::vector<bool> reachable(nodes_.size(), false);
-  reachable[loss.id()] = true;
+  // second head built on the same tape) do not run their backward rules.
+  for (size_t i = 0; i <= loss.id(); ++i) nodes_[i]->reachable = false;
+  nodes_[loss.id()]->reachable = true;
   for (size_t i = loss.id() + 1; i-- > 0;) {
-    if (!reachable[i]) continue;
-    for (size_t p : nodes_[i].parents) reachable[p] = true;
+    const Node& node = *nodes_[i];
+    if (!node.reachable) continue;
+    for (size_t p = 0; p < node.num_parents; ++p) {
+      nodes_[node.parents[p]]->reachable = true;
+    }
   }
 
-  nodes_[loss.id()].grad(0, 0) = 1.0;
+  nodes_[loss.id()]->grad(0, 0) = 1.0;
   for (size_t i = loss.id() + 1; i-- > 0;) {
-    Node& node = nodes_[i];
-    if (!reachable[i] || node.is_constant || !node.backward) continue;
-    node.backward(this, i);
+    const Node& node = *nodes_[i];
+    if (!node.reachable || node.op == Op::kLeaf ||
+        node.op == Op::kConstant) {
+      continue;
+    }
+    Node* a = nodes_[node.parents[0]].get();
+    Node* b = node.num_parents > 1 ? nodes_[node.parents[1]].get() : nullptr;
+    internal::Backprop(node, a, b, &scratch_);
     // Under numeric checks, catch a gradient going non-finite at the node
-    // whose backward fn produced it rather than at the optimizer step.
+    // whose backward rule produced it rather than at the optimizer step.
     if constexpr (kNumericChecksEnabled) {
-      for (size_t p : node.parents) {
-        if (nodes_[p].is_constant) continue;
-        DTREC_ASSERT_FINITE(nodes_[p].grad, "Tape::Backward gradient");
+      for (Node* parent : {a, b}) {
+        if (parent == nullptr || parent->op == Op::kConstant) continue;
+        DTREC_ASSERT_FINITE(parent->grad, "Tape::Backward gradient");
       }
     }
   }
 }
 
 const Matrix& Tape::ValueOf(Var v) const {
-  DTREC_CHECK(v.valid() && v.tape() == this);
-  DTREC_CHECK_LT(v.id(), nodes_.size());
-  return nodes_[v.id()].value;
+  CheckLive(v);
+  return nodes_[v.id()]->value;
 }
 
 const Matrix& Tape::GradOf(Var v) const {
-  DTREC_CHECK(v.valid() && v.tape() == this);
-  DTREC_CHECK_LT(v.id(), nodes_.size());
-  return nodes_[v.id()].grad;
+  CheckLive(v);
+  return nodes_[v.id()]->grad;
 }
 
-Matrix* Tape::MutableGrad(size_t id) {
-  DTREC_CHECK_LT(id, nodes_.size());
-  return &nodes_[id].grad;
+void Tape::Reset() {
+  size_ = 0;
+  ++generation_;
 }
 
-const Matrix& Tape::ValueAt(size_t id) const {
-  DTREC_CHECK_LT(id, nodes_.size());
-  return nodes_[id].value;
+void Tape::CheckLive(Var v) const {
+  DTREC_CHECK(v.valid() && v.tape() == this) << "Var of another tape";
+  DTREC_CHECK(v.generation_ == generation_)
+      << "Var used after its tape was Reset()";
+  DTREC_CHECK_LT(v.id(), size_);
 }
-
-void Tape::Reset() { nodes_.clear(); }
 
 }  // namespace dtrec::ag

@@ -21,7 +21,7 @@ void CvibTrainer::TrainStep(const Batch& batch) {
     w_conf(i, 0) = 1.0 / static_cast<double>(b);
   }
 
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   std::vector<ag::Var> leaves = pred_.MakeLeaves(&tape);
   ag::Var logits = pred_.BatchLogits(&tape, leaves, batch.users, batch.items);
   ag::Var probs = ag::Sigmoid(logits);

@@ -42,7 +42,7 @@ void DibTrainer::TrainStep(const Batch& batch) {
     w(i, 0) = batch.observed(i, 0) / observed_count;
   }
 
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   ag::Var p1 = tape.Leaf(p1_), p2 = tape.Leaf(p2_);
   ag::Var q1 = tape.Leaf(q1_), q2 = tape.Leaf(q2_);
   ag::Var pu1 = ag::GatherRows(p1, batch.users);
@@ -54,9 +54,6 @@ void DibTrainer::TrainStep(const Batch& batch) {
   ag::Var full_logits =
       ag::Add(unbiased_logits, ag::RowwiseDot(pu2, qi2));
 
-  ag::Var e_full = SquaredErrorVsLabels(&tape, full_logits, batch.ratings);
-  ag::Var e_unbiased =
-      SquaredErrorVsLabels(&tape, unbiased_logits, batch.ratings);
   // Compression term: the two components must carry independent
   // information (outer-product orthogonality on the full tables),
   // normalized by table height so beta is dataset-size independent.
@@ -67,8 +64,10 @@ void DibTrainer::TrainStep(const Batch& batch) {
                 1.0 / static_cast<double>(q1_.rows())));
 
   ag::Var loss = ag::Add(
-      ag::WeightedSumElems(e_full, w),
-      ag::Add(ag::Scale(ag::WeightedSumElems(e_unbiased, w), config_.alpha),
+      ag::SigmoidSquaredErrorSum(full_logits, batch.ratings, w),
+      ag::Add(ag::Scale(ag::SigmoidSquaredErrorSum(unbiased_logits,
+                                                   batch.ratings, w),
+                        config_.alpha),
               ag::Scale(ortho, config_.beta)));
   BackwardAndStep(&tape, loss, {p1, p2, q1, q2}, {&p1_, &p2_, &q1_, &q2_});
 }

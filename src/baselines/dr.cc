@@ -39,12 +39,11 @@ Status DrTrainerBase::Setup(const RatingDataset& dataset) {
       while (sampler.NextBatch(&batch)) {
         Matrix w(batch.size(), 1,
                  1.0 / static_cast<double>(batch.size()));
-        ag::Tape tape;
+        ag::Tape& tape = *FreshTape();
         std::vector<ag::Var> leaves = imp_.MakeLeaves(&tape);
         ag::Var logits =
             imp_.BatchLogits(&tape, leaves, batch.users, batch.items);
-        ag::Var errors = SquaredErrorVsLabels(&tape, logits, batch.ratings);
-        ag::Var loss = ag::WeightedSumElems(errors, w);
+        ag::Var loss = ag::SigmoidSquaredErrorSum(logits, batch.ratings, w);
         tape.Backward(loss);
         for (size_t i = 0; i < leaves.size(); ++i) {
           imp_opt_->Step(imp_.Params()[i], tape.GradOf(leaves[i]));
@@ -97,7 +96,7 @@ void DrTrainerBase::PredictionStep(const Batch& batch) {
   }
   DTREC_ASSERT_FINITE(w_observed, "DrTrainerBase::PredictionStep weights");
 
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   std::vector<ag::Var> leaves = pred_.MakeLeaves(&tape);
   ag::Var logits = pred_.BatchLogits(&tape, leaves, batch.users, batch.items);
   ag::Var probs = ag::Sigmoid(logits);
@@ -159,7 +158,7 @@ void DrTrainerBase::ImputationStep(const Batch& batch) {
   DTREC_ASSERT_FINITE(w, "DrTrainerBase::ImputationStep weights");
   if (total_weight == 0.0) return;
 
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   std::vector<ag::Var> leaves = imp_.MakeLeaves(&tape);
   ag::Var logits = imp_.BatchLogits(&tape, leaves, batch.users, batch.items);
   ag::Var pseudo = ag::Sigmoid(logits);

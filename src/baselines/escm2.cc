@@ -17,7 +17,7 @@ Matrix JointLabel(const Batch& batch) {
 }  // namespace
 
 void Escm2IpsTrainer::TrainStep(const Batch& batch) {
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   TowerGraph graph = BuildGraph(&tape, batch);
   ag::Var ctr_prob = ag::Sigmoid(graph.ctr_logits);
   ag::Var cvr_prob = ag::Sigmoid(graph.cvr_logits);
@@ -33,11 +33,11 @@ void Escm2IpsTrainer::TrainStep(const Batch& batch) {
       ag::Add(ag::Scale(cvr_ips, config_.lambda1),
               ag::Scale(BceMean(&tape, ctcvr_prob, JointLabel(batch)),
                         config_.lambda2)));
-  StepAll(&tape, loss, &graph);
+  StepAll(&tape, loss, graph);
 }
 
 void Escm2DrTrainer::TrainStep(const Batch& batch) {
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   TowerGraph graph = BuildGraph(&tape, batch);
   ag::Var ctr_prob = ag::Sigmoid(graph.ctr_logits);
   ag::Var cvr_prob = ag::Sigmoid(graph.cvr_logits);
@@ -71,7 +71,7 @@ void Escm2DrTrainer::TrainStep(const Batch& batch) {
       ag::Add(ag::Scale(ag::Add(cvr_dr, imp_loss), config_.lambda1),
               ag::Scale(BceMean(&tape, ctcvr_prob, JointLabel(batch)),
                         config_.lambda2)));
-  StepAll(&tape, loss, &graph);
+  StepAll(&tape, loss, graph);
 }
 
 }  // namespace dtrec

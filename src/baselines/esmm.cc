@@ -3,7 +3,7 @@
 namespace dtrec {
 
 void EsmmTrainer::TrainStep(const Batch& batch) {
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   TowerGraph graph = BuildGraph(&tape, batch);
   ag::Var ctr_prob = ag::Sigmoid(graph.ctr_logits);
   ag::Var cvr_prob = ag::Sigmoid(graph.cvr_logits);
@@ -18,7 +18,7 @@ void EsmmTrainer::TrainStep(const Batch& batch) {
   ag::Var ctr_loss = BceMean(&tape, ctr_prob, batch.observed);
   ag::Var ctcvr_loss = BceMean(&tape, ctcvr_prob, joint);
   ag::Var loss = ag::Add(ctr_loss, ctcvr_loss);
-  StepAll(&tape, loss, &graph);
+  StepAll(&tape, loss, graph);
 }
 
 }  // namespace dtrec

@@ -42,11 +42,10 @@ void IpsTrainer::TrainStep(const Batch& batch) {
   const Matrix w =
       IpsWeights(batch, [&](size_t i) { return BatchPropensity(batch, i); });
 
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   std::vector<ag::Var> leaves = pred_.MakeLeaves(&tape);
   ag::Var logits = pred_.BatchLogits(&tape, leaves, batch.users, batch.items);
-  ag::Var errors = SquaredErrorVsLabels(&tape, logits, batch.ratings);
-  ag::Var loss = ag::WeightedSumElems(errors, w);
+  ag::Var loss = ag::SigmoidSquaredErrorSum(logits, batch.ratings, w);
   BackwardAndStep(&tape, loss, leaves, pred_.Params());
 }
 

@@ -35,7 +35,7 @@ ag::Var IpsV2Trainer::BalanceTerm(ag::Tape* tape, const Batch& batch,
 }
 
 void IpsV2Trainer::TrainStep(const Batch& batch) {
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   TowerGraph graph = BuildGraph(&tape, batch);
   ag::Var ctr_prob = ag::Sigmoid(graph.ctr_logits);
   ag::Var cvr_prob = ag::Sigmoid(graph.cvr_logits);
@@ -51,11 +51,11 @@ void IpsV2Trainer::TrainStep(const Batch& batch) {
                         config_.alpha),
               ag::Scale(BalanceTerm(&tape, batch, ctr_prob, graph.features),
                         config_.lambda2)));
-  StepAll(&tape, loss, &graph);
+  StepAll(&tape, loss, graph);
 }
 
 void DrV2Trainer::TrainStep(const Batch& batch) {
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   TowerGraph graph = BuildGraph(&tape, batch);
   ag::Var ctr_prob = ag::Sigmoid(graph.ctr_logits);
   ag::Var cvr_prob = ag::Sigmoid(graph.cvr_logits);
@@ -88,7 +88,7 @@ void DrV2Trainer::TrainStep(const Batch& batch) {
                         config_.alpha),
               ag::Scale(BalanceTerm(&tape, batch, ctr_prob, graph.features),
                         config_.lambda2)));
-  StepAll(&tape, loss, &graph);
+  StepAll(&tape, loss, graph);
 }
 
 }  // namespace dtrec

@@ -20,11 +20,10 @@ void MfNaiveTrainer::TrainStep(const Batch& batch) {
     w(i, 0) = batch.observed(i, 0) / observed_count;
   }
 
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   std::vector<ag::Var> leaves = pred_.MakeLeaves(&tape);
   ag::Var logits = pred_.BatchLogits(&tape, leaves, batch.users, batch.items);
-  ag::Var errors = SquaredErrorVsLabels(&tape, logits, batch.ratings);
-  ag::Var loss = ag::WeightedSumElems(errors, w);
+  ag::Var loss = ag::SigmoidSquaredErrorSum(logits, batch.ratings, w);
   BackwardAndStep(&tape, loss, leaves, pred_.Params());
 }
 

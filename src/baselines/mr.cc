@@ -83,7 +83,7 @@ void MrTrainer::TrainStep(const Batch& batch) {
                                               batch.items[i]);
   }
 
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   std::vector<ag::Var> leaves = pred_.MakeLeaves(&tape);
   ag::Var w_prop = tape.Leaf(prop_logits_);
   ag::Var w_imp = tape.Leaf(imp_logits_);
@@ -148,7 +148,9 @@ void MrTrainer::ImputationStep(const Batch& batch, const Matrix& inv_p) {
   }
   if (total == 0.0) return;
 
-  ag::Tape tape;
+  // `inv_p` is a node value of the prediction graph; the loop above has
+  // consumed it, so the workspace may now be reset for this graph.
+  ag::Tape& tape = *FreshTape();
   std::vector<ag::Var> leaves = imp_.MakeLeaves(&tape);
   ag::Var logits = imp_.BatchLogits(&tape, leaves, batch.users, batch.items);
   ag::Var pseudo = ag::Sigmoid(logits);

@@ -6,7 +6,7 @@
 namespace dtrec {
 
 void MultiIpsTrainer::TrainStep(const Batch& batch) {
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   TowerGraph graph = BuildGraph(&tape, batch);
   ag::Var ctr_prob = ag::Sigmoid(graph.ctr_logits);
 
@@ -21,11 +21,11 @@ void MultiIpsTrainer::TrainStep(const Batch& batch) {
   ag::Var ips_loss = ag::WeightedSumElems(e, w);
   ag::Var prop_loss = BceMean(&tape, ctr_prob, batch.observed);
   ag::Var loss = ag::Add(ips_loss, ag::Scale(prop_loss, config_.alpha));
-  StepAll(&tape, loss, &graph);
+  StepAll(&tape, loss, graph);
 }
 
 void MultiDrTrainer::TrainStep(const Batch& batch) {
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   TowerGraph graph = BuildGraph(&tape, batch);
   ag::Var ctr_prob = ag::Sigmoid(graph.ctr_logits);
   ag::Var cvr_prob = ag::Sigmoid(graph.cvr_logits);
@@ -62,7 +62,7 @@ void MultiDrTrainer::TrainStep(const Batch& batch) {
   ag::Var prop_loss = BceMean(&tape, ctr_prob, batch.observed);
   ag::Var loss = ag::Add(ag::Add(dr_loss, imp_loss),
                          ag::Scale(prop_loss, config_.alpha));
-  StepAll(&tape, loss, &graph);
+  StepAll(&tape, loss, graph);
 }
 
 }  // namespace dtrec

@@ -22,11 +22,10 @@ void SnipsTrainer::TrainStep(const Batch& batch) {
   for (size_t i = 0; i < batch.size(); ++i) w(i, 0) /= weight_sum;
   DTREC_ASSERT_FINITE(w, "SnipsTrainer self-normalized weights");
 
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   std::vector<ag::Var> leaves = pred_.MakeLeaves(&tape);
   ag::Var logits = pred_.BatchLogits(&tape, leaves, batch.users, batch.items);
-  ag::Var errors = SquaredErrorVsLabels(&tape, logits, batch.ratings);
-  ag::Var loss = ag::WeightedSumElems(errors, w);
+  ag::Var loss = ag::SigmoidSquaredErrorSum(logits, batch.ratings, w);
   BackwardAndStep(&tape, loss, leaves, pred_.Params());
 }
 

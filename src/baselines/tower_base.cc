@@ -49,10 +49,11 @@ ParamBudget TowerTrainerBase::Budget() const {
 TowerTrainerBase::TowerGraph TowerTrainerBase::BuildGraph(
     ag::Tape* tape, const Batch& batch) const {
   TowerGraph graph;
-  graph.emb_leaves = {tape->Leaf(pred_.p()), tape->Leaf(pred_.q())};
-  ag::Var pu = ag::GatherRows(graph.emb_leaves[0], batch.users);
-  ag::Var qi = ag::GatherRows(graph.emb_leaves[1], batch.items);
-  graph.features = ag::HConcat(ag::HConcat(pu, qi), ag::Mul(pu, qi));
+  graph.p = tape->Leaf(pred_.p());
+  graph.q = tape->Leaf(pred_.q());
+  ag::Var pu = ag::GatherRows(graph.p, batch.users);
+  ag::Var qi = ag::GatherRows(graph.q, batch.items);
+  graph.features = ag::PairFeatures(pu, qi);
   graph.ctr_leaves = ctr_tower_.MakeLeaves(tape);
   graph.cvr_leaves = cvr_tower_.MakeLeaves(tape);
   graph.ctr_logits = ctr_tower_.Forward(graph.ctr_leaves, graph.features);
@@ -65,19 +66,17 @@ TowerTrainerBase::TowerGraph TowerTrainerBase::BuildGraph(
 }
 
 void TowerTrainerBase::StepAll(ag::Tape* tape, ag::Var loss,
-                               TowerGraph* graph) {
-  std::vector<ag::Var> leaves = graph->emb_leaves;
+                               const TowerGraph& graph) {
+  std::vector<ag::Var> leaves{graph.p, graph.q};
   std::vector<Matrix*> params{&pred_.p(), &pred_.q()};
-  auto append = [&](const std::vector<ag::Var>& tower_leaves,
-                    std::vector<Matrix*> tower_params) {
-    for (size_t i = 0; i < tower_leaves.size(); ++i) {
-      leaves.push_back(tower_leaves[i]);
-      params.push_back(tower_params[i]);
-    }
+  auto append = [&](const MlpHead::Leaves& tower_leaves,
+                    const MlpHead::ParamList& tower_params) {
+    leaves.insert(leaves.end(), tower_leaves.begin(), tower_leaves.end());
+    params.insert(params.end(), tower_params.begin(), tower_params.end());
   };
-  append(graph->ctr_leaves, ctr_tower_.Params());
-  append(graph->cvr_leaves, cvr_tower_.Params());
-  if (has_imputation_) append(graph->imp_leaves, imp_tower_.Params());
+  append(graph.ctr_leaves, ctr_tower_.Params());
+  append(graph.cvr_leaves, cvr_tower_.Params());
+  if (has_imputation_) append(graph.imp_leaves, imp_tower_.Params());
   BackwardAndStep(tape, loss, leaves, params);
 }
 

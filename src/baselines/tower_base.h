@@ -48,17 +48,17 @@ class TowerTrainerBase : public MfJointTrainerBase {
   }
 
   /// Hook for subclasses needing extra setup after the towers exist.
-  virtual Status TowerSetup(const RatingDataset& dataset) {
+  virtual Status TowerSetup(const RatingDataset& /*dataset*/) {
     return Status::OK();
   }
 
   /// Per-step graph pieces available to subclasses.
   struct TowerGraph {
-    std::vector<ag::Var> emb_leaves;   // P, Q
-    std::vector<ag::Var> ctr_leaves;   // ctr tower params
-    std::vector<ag::Var> cvr_leaves;   // cvr tower params
-    std::vector<ag::Var> imp_leaves;   // imp tower params (may be empty)
-    ag::Var features;                  // B×2K concat embeddings
+    ag::Var p, q;                      // shared embedding leaves
+    MlpHead::Leaves ctr_leaves;        // ctr tower params
+    MlpHead::Leaves cvr_leaves;        // cvr tower params
+    MlpHead::Leaves imp_leaves;        // imp tower params (iff imputation)
+    ag::Var features;                  // B×3K [p_u, q_i, p_u∘q_i]
     ag::Var ctr_logits;                // B×1
     ag::Var cvr_logits;                // B×1
     ag::Var imp_logits;                // B×1 (valid iff has_imputation)
@@ -68,7 +68,7 @@ class TowerTrainerBase : public MfJointTrainerBase {
   TowerGraph BuildGraph(ag::Tape* tape, const Batch& batch) const;
 
   /// All (leaf, param) pairs of `graph`, for the optimizer step.
-  void StepAll(ag::Tape* tape, ag::Var loss, TowerGraph* graph);
+  void StepAll(ag::Tape* tape, ag::Var loss, const TowerGraph& graph);
 
   /// Probability clamped into (eps, 1−eps) for log-safety.
   static ag::Var SafeProb(ag::Var prob);

@@ -233,12 +233,4 @@ MfModelConfig MfJointTrainerBase::PredModelConfig(
   return mc;
 }
 
-ag::Var SquaredErrorVsLabels(ag::Tape* tape, ag::Var logits,
-                             const Matrix& labels) {
-  DTREC_CHECK(tape != nullptr);
-  ag::Var probs = ag::Sigmoid(logits);
-  ag::Var residual = ag::Sub(tape->Constant(labels), probs);
-  return ag::Square(residual);
-}
-
 }  // namespace dtrec

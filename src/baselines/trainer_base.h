@@ -175,6 +175,15 @@ class MfJointTrainerBase : public RecommenderTrainer {
     return {CheckpointGroup{pred_.Params(), opt_.get()}};
   }
 
+  /// Resets the trainer's autograd workspace and returns it for the next
+  /// graph. One tape lives for the whole Fit; every graph a step builds
+  /// starts with this call, so the nodes of the previous graph hand their
+  /// value and gradient buffers to the next instead of being freed.
+  ag::Tape* FreshTape() {
+    tape_.Reset();
+    return &tape_;
+  }
+
   /// Runs backward from `loss` and applies one optimizer step for each
   /// (leaf, parameter) pair. When the event stream is on, also records
   /// the scalar loss value as the "total" component and accumulates the
@@ -206,15 +215,13 @@ class MfJointTrainerBase : public RecommenderTrainer {
   Rng rng_;
 
  private:
+  ag::Tape tape_;
+
   // Per-epoch telemetry accumulators (cleared at each epoch start).
   std::map<std::string, std::pair<double, uint64_t>> epoch_losses_;
   double grad_norm_sum_ = 0.0;
   uint64_t grad_norm_steps_ = 0;
 };
-
-/// Squared-error Var e = (r − σ(logits))² against constant labels.
-ag::Var SquaredErrorVsLabels(ag::Tape* tape, ag::Var logits,
-                             const Matrix& labels);
 
 }  // namespace dtrec
 

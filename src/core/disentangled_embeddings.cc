@@ -125,30 +125,32 @@ DisentangledGraph BuildDisentangledGraph(ag::Tape* tape,
                         ag::GatherRows(graph.item_bias, items)));
   }
 
-  // Propensity head: full embedding [x, z] → o, per-dimension weighted.
-  ag::Var pu_full = ag::HConcat(graph.pu_primary, graph.pu_auxiliary);
-  ag::Var qi_full = ag::HConcat(graph.qi_primary, graph.qi_auxiliary);
-  ag::Var interactions = ag::Mul(pu_full, qi_full);  // B×K
-  graph.prop_logits = ag::AddRowBroadcast(
-      ag::MatMul(interactions, ag::Transpose(graph.prop_weights)),
-      graph.prop_bias);
   return graph;
 }
 
-void CollectDisentangledParams(DisentangledGraph* graph,
-                               DisentangledEmbeddings* emb,
-                               std::vector<ag::Var>* leaves,
-                               std::vector<Matrix*>* params) {
-  DTREC_CHECK(graph != nullptr && emb != nullptr);
-  DTREC_CHECK(leaves != nullptr && params != nullptr);
-  leaves->assign({graph->p_primary, graph->p_auxiliary, graph->q_primary,
-                  graph->q_auxiliary, graph->prop_weights,
-                  graph->prop_bias});
-  if (emb->has_rating_bias()) {
-    leaves->push_back(graph->user_bias);
-    leaves->push_back(graph->item_bias);
+void AddGlmPropensityHead(DisentangledGraph* graph) {
+  DTREC_CHECK(graph != nullptr);
+  // Propensity head: full embedding [x, z] → o, per-dimension weighted.
+  ag::Var pu_full = ag::HConcat(graph->pu_primary, graph->pu_auxiliary);
+  ag::Var qi_full = ag::HConcat(graph->qi_primary, graph->qi_auxiliary);
+  ag::Var interactions = ag::Mul(pu_full, qi_full);  // B×K
+  graph->prop_logits = ag::AddRowBroadcast(
+      ag::MatMul(interactions, ag::Transpose(graph->prop_weights)),
+      graph->prop_bias);
+}
+
+void AppendDisentangledLeaves(const DisentangledGraph& graph,
+                              std::vector<ag::Var>* leaves) {
+  DTREC_CHECK(leaves != nullptr);
+  for (ag::Var leaf : {graph.p_primary, graph.p_auxiliary, graph.q_primary,
+                       graph.q_auxiliary, graph.prop_weights,
+                       graph.prop_bias}) {
+    leaves->push_back(leaf);
   }
-  *params = emb->Params();
+  if (graph.user_bias.valid()) {
+    leaves->push_back(graph.user_bias);
+    leaves->push_back(graph.item_bias);
+  }
 }
 
 }  // namespace dtrec

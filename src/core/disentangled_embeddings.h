@@ -83,17 +83,23 @@ struct DisentangledGraph {
   ag::Var prop_logits;    // B×1
 };
 
-/// Builds the full forward graph for `users`/`items` on `tape`.
+/// Builds the forward graph for `users`/`items` on `tape`: every leaf, the
+/// gathered batch rows and the rating head. `prop_logits` stays unset; a
+/// propensity head over the gathered rows sets it (the per-dimension GLM
+/// head of AddGlmPropensityHead, or DT's MLP head).
 DisentangledGraph BuildDisentangledGraph(ag::Tape* tape,
                                          const DisentangledEmbeddings& emb,
                                          const std::vector<size_t>& users,
                                          const std::vector<size_t>& items);
 
-/// (leaf, parameter) pairs of the graph, for the optimizer step.
-void CollectDisentangledParams(DisentangledGraph* graph,
-                               DisentangledEmbeddings* emb,
-                               std::vector<ag::Var>* leaves,
-                               std::vector<Matrix*>* params);
+/// Sets graph->prop_logits to the per-dimension GLM propensity head
+///   Σ_k w_k · p_{u,k} · q_{i,k} + b   over the full embedding [x, z].
+void AddGlmPropensityHead(DisentangledGraph* graph);
+
+/// Appends the graph's leaves to `leaves` in DisentangledEmbeddings::Params
+/// order, pairing them with the parameters for the optimizer step.
+void AppendDisentangledLeaves(const DisentangledGraph& graph,
+                              std::vector<ag::Var>* leaves);
 
 }  // namespace dtrec
 

@@ -31,57 +31,41 @@ ParamBudget DtDrTrainer::Budget() const {
 }
 
 void DtDrTrainer::TrainStep(const Batch& batch) {
+  DtIpsTrainer::TrainStep(batch);
+  ImputationStep(batch);
+}
+
+ag::Var DtDrTrainer::EstimatorLoss(ag::Tape* tape, const Batch& batch,
+                                   const DisentangledGraph& graph) {
   const size_t b = batch.size();
   const double inv_b = 1.0 / static_cast<double>(b);
 
-  ag::Tape tape;
-  std::vector<ag::Var> extra_leaves;
-  std::vector<Matrix*> extra_params;
-  ag::Var dr_loss;
-  DisentangledGraph graph;
-  Matrix clipped_p(b, 1);
-  {
-    DTREC_TRACE_SPAN("forward");
-    graph = BuildGraph(&tape, batch, &extra_leaves, &extra_params);
-
-    // Constants of the prediction step: clipped learned MNAR propensities
-    // and the imputation model's pseudo-labels.
-    Matrix pseudo(b, 1);
-    Matrix w_imputed(b, 1), w_observed(b, 1);
-    const Matrix& prop_logits = graph.prop_logits.value();
-    for (size_t i = 0; i < b; ++i) {
-      clipped_p(i, 0) = ClipPropensity(Sigmoid(prop_logits(i, 0)),
-                                       config_.propensity_clip);
-      DTREC_ASSERT_PROPENSITY(clipped_p(i, 0));
-      pseudo(i, 0) = imp_.PredictProbability(batch.users[i], batch.items[i]);
-      const double o_over_p = batch.observed(i, 0) / clipped_p(i, 0);
-      w_imputed(i, 0) = (1.0 - o_over_p) * inv_b;
-      w_observed(i, 0) = o_over_p * inv_b;
-    }
-    DTREC_ASSERT_FINITE(w_observed, "DtDrTrainer DR weights");
-
-    ag::Var probs = ag::Sigmoid(graph.rating_logits);
-    ag::Var e = ag::Square(ag::Sub(tape.Constant(batch.ratings), probs));
-    ag::Var e_hat = ag::Square(ag::Sub(tape.Constant(pseudo), probs));
-    dr_loss = ag::Add(ag::WeightedSumElems(e_hat, w_imputed),
-                      ag::WeightedSumElems(e, w_observed));
+  // Constants of the prediction step: clipped learned MNAR propensities
+  // and the imputation model's pseudo-labels.
+  clipped_p_.Resize(b, 1);
+  pseudo_.Resize(b, 1);
+  w_imputed_.Resize(b, 1);
+  w_observed_.Resize(b, 1);
+  const Matrix& prop_logits = graph.prop_logits.value();
+  for (size_t i = 0; i < b; ++i) {
+    clipped_p_(i, 0) = ClipPropensity(Sigmoid(prop_logits(i, 0)),
+                                      config_.propensity_clip);
+    DTREC_ASSERT_PROPENSITY(clipped_p_(i, 0));
+    pseudo_(i, 0) = imp_.PredictProbability(batch.users[i], batch.items[i]);
+    const double o_over_p = batch.observed(i, 0) / clipped_p_(i, 0);
+    w_imputed_(i, 0) = (1.0 - o_over_p) * inv_b;
+    w_observed_(i, 0) = o_over_p * inv_b;
   }
-  if (collect_epoch_stats_) RecordEpochLoss("dr", dr_loss.value()(0, 0));
+  DTREC_ASSERT_FINITE(w_observed_, "DtDrTrainer DR weights");
 
-  ag::Var loss = ag::Add(dr_loss, SharedLossTerms(&tape, batch, &graph));
-
-  std::vector<ag::Var> leaves;
-  std::vector<Matrix*> params;
-  CollectDisentangledParams(&graph, &emb_, &leaves, &params);
-  leaves.insert(leaves.end(), extra_leaves.begin(), extra_leaves.end());
-  params.insert(params.end(), extra_params.begin(), extra_params.end());
-  BackwardAndStep(&tape, loss, leaves, params);
-
-  ImputationStep(batch, clipped_p);
+  ag::Var probs = ag::Sigmoid(graph.rating_logits);
+  ag::Var e = ag::Square(ag::Sub(tape->Constant(batch.ratings), probs));
+  ag::Var e_hat = ag::Square(ag::Sub(tape->Constant(pseudo_), probs));
+  return ag::Add(ag::WeightedSumElems(e_hat, w_imputed_),
+                 ag::WeightedSumElems(e, w_observed_));
 }
 
-void DtDrTrainer::ImputationStep(const Batch& batch,
-                                 const Matrix& clipped_p) {
+void DtDrTrainer::ImputationStep(const Batch& batch) {
   const size_t b = batch.size();
   const double inv_b = 1.0 / static_cast<double>(b);
   Matrix pred_probs(b, 1), target_e(b, 1), w(b, 1);
@@ -91,14 +75,14 @@ void DtDrTrainer::ImputationStep(const Batch& batch,
     pred_probs(i, 0) = prob;
     const double diff = batch.ratings(i, 0) - prob;
     target_e(i, 0) = diff * diff;
-    w(i, 0) = ImputationWeight(batch.observed(i, 0), clipped_p(i, 0)) *
+    w(i, 0) = ImputationWeight(batch.observed(i, 0), clipped_p_(i, 0)) *
               inv_b;
     total += w(i, 0);
   }
   if (total == 0.0) return;
 
   DTREC_TRACE_SPAN("imputation");
-  ag::Tape tape;
+  ag::Tape& tape = *FreshTape();
   std::vector<ag::Var> leaves = imp_.MakeLeaves(&tape);
   ag::Var logits = imp_.BatchLogits(&tape, leaves, batch.users, batch.items);
   ag::Var pseudo = ag::Sigmoid(logits);
@@ -107,8 +91,9 @@ void DtDrTrainer::ImputationStep(const Batch& batch,
       ag::Square(ag::Sub(tape.Constant(target_e), e_hat)), w);
   if (collect_epoch_stats_) RecordEpochLoss("imputation", loss.value()(0, 0));
   tape.Backward(loss);
+  const std::vector<Matrix*> params = imp_.Params();
   for (size_t i = 0; i < leaves.size(); ++i) {
-    imp_opt_->Step(imp_.Params()[i], tape.GradOf(leaves[i]));
+    imp_opt_->Step(params[i], tape.GradOf(leaves[i]));
   }
 }
 

@@ -28,6 +28,9 @@ class DtDrTrainer : public DtIpsTrainer {
  protected:
   Status Setup(const RatingDataset& dataset) override;
   void TrainStep(const Batch& batch) override;
+  ag::Var EstimatorLoss(ag::Tape* tape, const Batch& batch,
+                        const DisentangledGraph& graph) override;
+  const char* estimator_name() const override { return "dr"; }
   std::vector<CheckpointGroup> CheckpointGroups() override;
   void OnLearningRate(double lr) override {
     DtIpsTrainer::OnLearningRate(lr);
@@ -41,10 +44,19 @@ class DtDrTrainer : public DtIpsTrainer {
   virtual double ImputationWeight(double o, double p) const { return o / p; }
 
  private:
-  void ImputationStep(const Batch& batch, const Matrix& clipped_p);
+  /// Steps the imputation model against the prediction model just
+  /// updated, weighting cells by the step's clipped propensities.
+  void ImputationStep(const Batch& batch);
 
   MfModel imp_;
   std::unique_ptr<Optimizer> imp_opt_;
+
+  // Constants of the prediction step, kept across steps: clipped learned
+  // propensities (also read by ImputationStep), pseudo-labels, DR weights.
+  Matrix clipped_p_;
+  Matrix pseudo_;
+  Matrix w_imputed_;
+  Matrix w_observed_;
 };
 
 /// Extension (DESIGN.md §5): DT with MRDR's variance-targeting imputation

@@ -27,6 +27,10 @@ Status DtIpsTrainer::Setup(const RatingDataset& dataset) {
     prop_tower_ = MlpHead(3 * config_.embedding_dim, config_.mlp_hidden,
                           config_.init_scale, &init_rng);
   }
+  step_params_ = emb_.Params();
+  if (config_.dt_mlp_propensity) {
+    for (Matrix* param : prop_tower_.Params()) step_params_.push_back(param);
+  }
   disentangle_history_.clear();
   normalized_history_.clear();
   return Status::OK();
@@ -65,38 +69,71 @@ ParamBudget DtIpsTrainer::Budget() const {
   return budget;
 }
 
-DisentangledGraph DtIpsTrainer::BuildGraph(
-    ag::Tape* tape, const Batch& batch, std::vector<ag::Var>* extra_leaves,
-    std::vector<Matrix*>* extra_params) {
+DisentangledGraph DtIpsTrainer::BuildGraph(ag::Tape* tape,
+                                           const Batch& batch) {
   DisentangledGraph graph =
       BuildDisentangledGraph(tape, emb_, batch.users, batch.items);
-  if (config_.dt_mlp_propensity) {
-    ag::Var pu_full = ag::HConcat(graph.pu_primary, graph.pu_auxiliary);
-    ag::Var qi_full = ag::HConcat(graph.qi_primary, graph.qi_auxiliary);
-    ag::Var features = ag::HConcat(ag::HConcat(pu_full, qi_full),
-                                   ag::Mul(pu_full, qi_full));
-    std::vector<ag::Var> tower_leaves = prop_tower_.MakeLeaves(tape);
-    graph.prop_logits = prop_tower_.Forward(tower_leaves, features);
-    const std::vector<Matrix*> tower_params = prop_tower_.Params();
-    for (size_t i = 0; i < tower_leaves.size(); ++i) {
-      extra_leaves->push_back(tower_leaves[i]);
-      extra_params->push_back(tower_params[i]);
-    }
+  step_leaves_.clear();
+  AppendDisentangledLeaves(graph, &step_leaves_);
+  if (!config_.dt_mlp_propensity) {
+    AddGlmPropensityHead(&graph);
+    return graph;
   }
+  ag::Var pu_full = ag::HConcat(graph.pu_primary, graph.pu_auxiliary);
+  ag::Var qi_full = ag::HConcat(graph.qi_primary, graph.qi_auxiliary);
+  ag::Var features = ag::PairFeatures(pu_full, qi_full);
+  const MlpHead::Leaves tower_leaves = prop_tower_.MakeLeaves(tape);
+  graph.prop_logits = prop_tower_.Forward(tower_leaves, features);
+  step_leaves_.insert(step_leaves_.end(), tower_leaves.begin(),
+                      tower_leaves.end());
   return graph;
 }
 
-ag::Var DtIpsTrainer::SharedLossTerms(ag::Tape* tape, const Batch& batch,
-                                      DisentangledGraph* graph) {
+ag::Var DtIpsTrainer::BuildStepLoss(ag::Tape* tape, const Batch& batch) {
+  DisentangledGraph graph;
+  ag::Var estimator;
+  {
+    DTREC_TRACE_SPAN("forward");
+    graph = BuildGraph(tape, batch);
+    estimator = EstimatorLoss(tape, batch, graph);
+  }
+  if (collect_epoch_stats_) {
+    RecordEpochLoss(estimator_name(), estimator.value()(0, 0));
+  }
+  return ag::Add(estimator, SharedLossTerms(batch, graph));
+}
+
+ag::Var DtIpsTrainer::EstimatorLoss(ag::Tape* /*tape*/, const Batch& batch,
+                                    const DisentangledGraph& graph) {
+  // IPS term with the learned MNAR propensity (stop-gradient weights: the
+  // propensity is trained by L_O, not by the reweighted rating loss).
+  ips_weights_.Resize(batch.size(), 1);
+  ips_weights_.SetZero();
+  const double inv_b = 1.0 / static_cast<double>(batch.size());
+  const Matrix& prop_logits = graph.prop_logits.value();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (batch.observed(i, 0) == 0.0) continue;
+    const double p = ClipPropensity(Sigmoid(prop_logits(i, 0)),
+                                    config_.propensity_clip);
+    DTREC_ASSERT_PROPENSITY(p);
+    ips_weights_(i, 0) = inv_b / p;
+  }
+  DTREC_ASSERT_FINITE(ips_weights_, "DtIpsTrainer IPS weights");
+  return ag::SigmoidSquaredErrorSum(graph.rating_logits, batch.ratings,
+                                    ips_weights_);
+}
+
+ag::Var DtIpsTrainer::SharedLossTerms(const Batch& batch,
+                                      const DisentangledGraph& graph) {
   // Propensity loss L_O: cross entropy of o over the sampled slice of the
   // entire space (stable logit-space form).
   ag::Var shared;
   {
     DTREC_TRACE_SPAN("propensity_bce");
-    const Matrix bce_weights(batch.size(), 1,
-                             1.0 / static_cast<double>(batch.size()));
-    ag::Var prop_loss = ag::SigmoidBceSum(graph->prop_logits, batch.observed,
-                                          bce_weights);
+    bce_weights_.Resize(batch.size(), 1);
+    bce_weights_.Fill(1.0 / static_cast<double>(batch.size()));
+    ag::Var prop_loss = ag::SigmoidBceSum(graph.prop_logits, batch.observed,
+                                          bce_weights_);
     shared = ag::Scale(prop_loss, config_.alpha);
     if (collect_epoch_stats_) {
       RecordEpochLoss("propensity_bce", shared.value()(0, 0));
@@ -104,7 +141,7 @@ ag::Var DtIpsTrainer::SharedLossTerms(ag::Tape* tape, const Batch& batch,
   }
   if (config_.beta != 0.0) {
     DTREC_TRACE_SPAN("disentangle_loss");
-    ag::Var term = ag::Scale(DisentangleLoss(*graph), config_.beta);
+    ag::Var term = ag::Scale(DisentangleLoss(graph), config_.beta);
     if (collect_epoch_stats_) {
       RecordEpochLoss("disentangle", term.value()(0, 0));
     }
@@ -112,54 +149,19 @@ ag::Var DtIpsTrainer::SharedLossTerms(ag::Tape* tape, const Batch& batch,
   }
   if (config_.gamma != 0.0) {
     DTREC_TRACE_SPAN("reg_loss");
-    ag::Var term = ag::Scale(RegularizationLoss(*graph), config_.gamma);
+    ag::Var term = ag::Scale(RegularizationLoss(graph), config_.gamma);
     if (collect_epoch_stats_) {
       RecordEpochLoss("regularization", term.value()(0, 0));
     }
     shared = ag::Add(shared, term);
   }
-  (void)tape;
   return shared;
 }
 
 void DtIpsTrainer::TrainStep(const Batch& batch) {
-  ag::Tape tape;
-  std::vector<ag::Var> extra_leaves;
-  std::vector<Matrix*> extra_params;
-  ag::Var ips_loss;
-  DisentangledGraph graph;
-  {
-    DTREC_TRACE_SPAN("forward");
-    graph = BuildGraph(&tape, batch, &extra_leaves, &extra_params);
-
-    // IPS term with the learned MNAR propensity (stop-gradient weights:
-    // the propensity is trained by L_O, not by the reweighted rating
-    // loss).
-    Matrix w(batch.size(), 1);
-    const double inv_b = 1.0 / static_cast<double>(batch.size());
-    const Matrix& prop_logits = graph.prop_logits.value();
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (batch.observed(i, 0) == 0.0) continue;
-      const double p = ClipPropensity(Sigmoid(prop_logits(i, 0)),
-                                      config_.propensity_clip);
-      DTREC_ASSERT_PROPENSITY(p);
-      w(i, 0) = inv_b / p;
-    }
-    DTREC_ASSERT_FINITE(w, "DtIpsTrainer IPS weights");
-    ag::Var e =
-        SquaredErrorVsLabels(&tape, graph.rating_logits, batch.ratings);
-    ips_loss = ag::WeightedSumElems(e, w);
-  }
-  if (collect_epoch_stats_) RecordEpochLoss("ips", ips_loss.value()(0, 0));
-
-  ag::Var loss = ag::Add(ips_loss, SharedLossTerms(&tape, batch, &graph));
-
-  std::vector<ag::Var> leaves;
-  std::vector<Matrix*> params;
-  CollectDisentangledParams(&graph, &emb_, &leaves, &params);
-  leaves.insert(leaves.end(), extra_leaves.begin(), extra_leaves.end());
-  params.insert(params.end(), extra_params.begin(), extra_params.end());
-  BackwardAndStep(&tape, loss, leaves, params);
+  ag::Tape* tape = FreshTape();
+  const ag::Var loss = BuildStepLoss(tape, batch);
+  BackwardAndStep(tape, loss, step_leaves_, step_params_);
 }
 
 void DtIpsTrainer::EpochEnd(size_t epoch) {

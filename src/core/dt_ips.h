@@ -66,10 +66,20 @@ class DtIpsTrainer : public MfJointTrainerBase {
   void EpochEnd(size_t epoch) override;
   std::vector<CheckpointGroup> CheckpointGroups() override;
 
-  /// Builds graph + the three shared loss terms, returning the total loss
-  /// to which the subclass adds its estimator-specific term.
-  ag::Var SharedLossTerms(ag::Tape* tape, const Batch& batch,
-                          DisentangledGraph* graph);
+  /// Builds the whole step loss on `tape`: the graph, the estimator term
+  /// (EstimatorLoss) and the shared propensity / disentangling /
+  /// regularization terms. The graph's leaves land in step_leaves_, paired
+  /// with step_params_ for the optimizer step.
+  ag::Var BuildStepLoss(ag::Tape* tape, const Batch& batch);
+
+  /// The estimator term over the built graph: L_IPS here, the DR pair in
+  /// DtDrTrainer. Recorded in the event stream as estimator_name().
+  virtual ag::Var EstimatorLoss(ag::Tape* tape, const Batch& batch,
+                                const DisentangledGraph& graph);
+  virtual const char* estimator_name() const { return "ips"; }
+
+  /// The three shared loss terms, summed.
+  ag::Var SharedLossTerms(const Batch& batch, const DisentangledGraph& graph);
 
   size_t primary_dim() const {
     // Default split A = 3K/4: the auxiliary block only needs enough width
@@ -79,16 +89,24 @@ class DtIpsTrainer : public MfJointTrainerBase {
                                        : (3 * config_.embedding_dim) / 4;
   }
 
-  /// Builds the per-batch graph, swapping in the MLP propensity head when
-  /// configured (the per-dimension GLM head is the ablation fallback).
-  DisentangledGraph BuildGraph(ag::Tape* tape, const Batch& batch,
-                               std::vector<ag::Var>* extra_leaves,
-                               std::vector<Matrix*>* extra_params);
+  /// Builds the per-batch graph with the MLP propensity head when
+  /// configured, else the per-dimension GLM head (the ablation fallback).
+  /// Only the chosen head is built; the GLM head's two leaves are made
+  /// either way so the optimizer steps every parameter alike.
+  DisentangledGraph BuildGraph(ag::Tape* tape, const Batch& batch);
 
   DisentangledEmbeddings emb_;
   MlpHead prop_tower_;  // used iff config_.dt_mlp_propensity
   std::vector<double> disentangle_history_;
   std::vector<double> normalized_history_;
+
+  // Per-step buffers kept across steps so a step allocates nothing: the
+  // leaves of the current graph and the parameters they pair with (fixed
+  // by Setup), and the constant IPS / BCE weights.
+  std::vector<ag::Var> step_leaves_;
+  std::vector<Matrix*> step_params_;
+  Matrix ips_weights_;
+  Matrix bce_weights_;
 };
 
 }  // namespace dtrec

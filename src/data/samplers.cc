@@ -1,18 +1,12 @@
 #include "data/samplers.h"
 
 #include <algorithm>
+#include <numeric>
+#include <utility>
 
 #include "util/logging.h"
 
 namespace dtrec {
-namespace {
-
-uint64_t CellKey(size_t user, size_t item, size_t num_items) {
-  return static_cast<uint64_t>(user) * static_cast<uint64_t>(num_items) +
-         static_cast<uint64_t>(item);
-}
-
-}  // namespace
 
 ObservedBatchSampler::ObservedBatchSampler(const RatingDataset& dataset,
                                            size_t batch_size, uint64_t seed)
@@ -59,10 +53,31 @@ FullMatrixBatchSampler::FullMatrixBatchSampler(const RatingDataset& dataset,
       rng_(seed) {
   DTREC_CHECK_GT(num_users_, 0u);
   DTREC_CHECK_GT(num_items_, 0u);
-  observed_.reserve(dataset.train().size() * 2);
-  for (const auto& t : dataset.train()) {
-    observed_[CellKey(t.user, t.item, num_items_)] = t.rating;
+  const std::vector<RatingTriple>& train = dataset.train();
+  // Train positions sorted by cell, stably, so each duplicate run ends with
+  // the rating repeated assignment would keep.
+  std::vector<size_t> order(train.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  const auto cell = [&](size_t k) {
+    return std::make_pair(train[k].user, train[k].item);
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return cell(a) < cell(b); });
+  user_begin_.assign(num_users_ + 1, 0);
+  items_.reserve(order.size());
+  ratings_.reserve(order.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    if (k + 1 < order.size() && cell(order[k]) == cell(order[k + 1])) {
+      continue;
+    }
+    const RatingTriple& t = train[order[k]];
+    DTREC_CHECK_LT(t.user, num_users_);
+    items_.push_back(t.item);
+    ratings_.push_back(t.rating);
+    ++user_begin_[t.user + 1];
   }
+  std::partial_sum(user_begin_.begin(), user_begin_.end(),
+                   user_begin_.begin());
 }
 
 Batch FullMatrixBatchSampler::Sample(size_t batch_size) {
@@ -87,9 +102,16 @@ Batch FullMatrixBatchSampler::Sample(size_t batch_size) {
 
 bool FullMatrixBatchSampler::Lookup(size_t user, size_t item,
                                     double* rating) const {
-  auto it = observed_.find(CellKey(user, item, num_items_));
-  if (it == observed_.end()) return false;
-  if (rating != nullptr) *rating = it->second;
+  if (user >= num_users_) return false;
+  const auto first =
+      items_.begin() + static_cast<std::ptrdiff_t>(user_begin_[user]);
+  const auto last =
+      items_.begin() + static_cast<std::ptrdiff_t>(user_begin_[user + 1]);
+  const auto it = std::lower_bound(first, last, item);
+  if (it == last || *it != item) return false;
+  if (rating != nullptr) {
+    *rating = ratings_[static_cast<size_t>(it - items_.begin())];
+  }
   return true;
 }
 

@@ -2,7 +2,6 @@
 #define DTREC_DATA_SAMPLERS_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "data/rating_dataset.h"
@@ -62,7 +61,8 @@ class FullMatrixBatchSampler {
   /// Draws `batch_size` cells uniformly with replacement.
   Batch Sample(size_t batch_size);
 
-  /// True observed-rating lookup; returns false for unobserved cells.
+  /// True observed-rating lookup; returns false for unobserved cells. A
+  /// cell listed more than once in the train split reads its last rating.
   bool Lookup(size_t user, size_t item, double* rating) const;
 
   size_t num_users() const { return num_users_; }
@@ -76,7 +76,12 @@ class FullMatrixBatchSampler {
   size_t num_users_;
   size_t num_items_;
   Rng rng_;
-  std::unordered_map<uint64_t, double> observed_;
+  // Observed train cells grouped by user (CSR): user u's cells are
+  // [user_begin_[u], user_begin_[u + 1]) of items_ / ratings_, with items
+  // ascending and unique, so Lookup is a binary search in one short row.
+  std::vector<size_t> user_begin_;
+  std::vector<size_t> items_;
+  std::vector<double> ratings_;
 };
 
 /// Builds one batch containing every observed training triple (small

@@ -19,15 +19,13 @@ MlpHead::MlpHead(size_t input_dim, size_t hidden_dim, double init_scale,
   b2_ = Matrix(1, 1);
 }
 
-std::vector<ag::Var> MlpHead::MakeLeaves(ag::Tape* tape) const {
+MlpHead::Leaves MlpHead::MakeLeaves(ag::Tape* tape) const {
   DTREC_CHECK(tape != nullptr);
   return {tape->Leaf(w1_), tape->Leaf(b1_), tape->Leaf(w2_),
           tape->Leaf(b2_)};
 }
 
-ag::Var MlpHead::Forward(const std::vector<ag::Var>& leaves,
-                         ag::Var input) const {
-  DTREC_CHECK_EQ(leaves.size(), 4u);
+ag::Var MlpHead::Forward(const Leaves& leaves, ag::Var input) const {
   ag::Var hidden = ag::Relu(
       ag::AddRowBroadcast(ag::MatMul(input, leaves[0]), leaves[1]));
   return ag::AddRowBroadcast(ag::MatMul(hidden, leaves[2]), leaves[3]);
@@ -48,7 +46,7 @@ double MlpHead::Forward(const Matrix& input_row) const {
   return out;
 }
 
-std::vector<Matrix*> MlpHead::Params() { return {&w1_, &b1_, &w2_, &b2_}; }
+MlpHead::ParamList MlpHead::Params() { return {&w1_, &b1_, &w2_, &b2_}; }
 
 size_t MlpHead::NumParameters() const {
   return w1_.size() + b1_.size() + w2_.size() + b2_.size();

@@ -1,8 +1,8 @@
 #ifndef DTREC_MODELS_MLP_H_
 #define DTREC_MODELS_MLP_H_
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "autograd/ops.h"
 #include "autograd/tape.h"
@@ -25,16 +25,19 @@ class MlpHead {
   MlpHead() = default;
   MlpHead(size_t input_dim, size_t hidden_dim, double init_scale, Rng* rng);
 
-  /// Leaves in order W1, b1, W2, b2.
-  std::vector<ag::Var> MakeLeaves(ag::Tape* tape) const;
+  /// Tape leaves / parameter matrices, both in order W1, b1, W2, b2.
+  using Leaves = std::array<ag::Var, 4>;
+  using ParamList = std::array<Matrix*, 4>;
+
+  Leaves MakeLeaves(ag::Tape* tape) const;
 
   /// B×1 logits from a B×input batch Var.
-  ag::Var Forward(const std::vector<ag::Var>& leaves, ag::Var input) const;
+  ag::Var Forward(const Leaves& leaves, ag::Var input) const;
 
   /// Plain (non-autograd) forward for inference.
   double Forward(const Matrix& input_row) const;
 
-  std::vector<Matrix*> Params();
+  ParamList Params();
   size_t NumParameters() const;
 
   size_t input_dim() const { return w1_.rows(); }

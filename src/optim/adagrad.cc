@@ -19,14 +19,17 @@ void AdaGrad::Step(Matrix* param, const Matrix& grad) {
   DTREC_CHECK_EQ(param->rows(), grad.rows());
   DTREC_CHECK_EQ(param->cols(), grad.cols());
 
-  auto [it, inserted] =
-      accum_.try_emplace(param, Matrix(param->rows(), param->cols()));
-  Matrix& acc = it->second;
-  (void)inserted;
-  for (size_t i = 0; i < param->size(); ++i) {
-    const double g = grad.at_flat(i) + weight_decay_ * param->at_flat(i);
-    acc.at_flat(i) += g * g;
-    param->at_flat(i) -= lr_ * g / (std::sqrt(acc.at_flat(i)) + epsilon_);
+  auto [it, inserted] = accum_.try_emplace(param);
+  if (inserted) it->second = Matrix(param->rows(), param->cols());
+  DTREC_CHECK_EQ(it->second.size(), param->size());
+  double* acc = it->second.data();
+  double* p = param->data();
+  const double* gr = grad.data();
+  const size_t n = param->size();
+  for (size_t i = 0; i < n; ++i) {
+    const double g = gr[i] + weight_decay_ * p[i];
+    acc[i] += g * g;
+    p[i] -= lr_ * g / (std::sqrt(acc[i]) + epsilon_);
   }
 }
 

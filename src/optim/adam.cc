@@ -36,13 +36,20 @@ void Adam::Step(Matrix* param, const Matrix& grad) {
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(slot.t));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(slot.t));
 
-  for (size_t i = 0; i < param->size(); ++i) {
-    const double g = grad.at_flat(i) + weight_decay_ * param->at_flat(i);
-    slot.m.at_flat(i) = beta1_ * slot.m.at_flat(i) + (1.0 - beta1_) * g;
-    slot.v.at_flat(i) = beta2_ * slot.v.at_flat(i) + (1.0 - beta2_) * g * g;
-    const double m_hat = slot.m.at_flat(i) / bc1;
-    const double v_hat = slot.v.at_flat(i) / bc2;
-    param->at_flat(i) -= lr_ * m_hat / (std::sqrt(v_hat) + epsilon_);
+  DTREC_CHECK_EQ(slot.m.size(), param->size());
+  DTREC_CHECK_EQ(slot.v.size(), param->size());
+  double* p = param->data();
+  const double* gr = grad.data();
+  double* m = slot.m.data();
+  double* v = slot.v.data();
+  const size_t n = param->size();
+  for (size_t i = 0; i < n; ++i) {
+    const double g = gr[i] + weight_decay_ * p[i];
+    m[i] = beta1_ * m[i] + (1.0 - beta1_) * g;
+    v[i] = beta2_ * v[i] + (1.0 - beta2_) * g * g;
+    const double m_hat = m[i] / bc1;
+    const double v_hat = v[i] / bc2;
+    p[i] -= lr_ * m_hat / (std::sqrt(v_hat) + epsilon_);
   }
 }
 

@@ -18,25 +18,27 @@ void Sgd::Step(Matrix* param, const Matrix& grad) {
   DTREC_CHECK_EQ(param->rows(), grad.rows());
   DTREC_CHECK_EQ(param->cols(), grad.cols());
 
+  double* p = param->data();
+  const double* gr = grad.data();
+  const size_t n = param->size();
   if (momentum_ == 0.0) {
-    for (size_t i = 0; i < param->size(); ++i) {
-      const double g = grad.at_flat(i) + weight_decay_ * param->at_flat(i);
-      param->at_flat(i) -= lr_ * g;
+    for (size_t i = 0; i < n; ++i) {
+      const double g = gr[i] + weight_decay_ * p[i];
+      p[i] -= lr_ * g;
     }
     return;
   }
 
-  auto [it, inserted] = velocity_.try_emplace(
-      param, Matrix(param->rows(), param->cols()));
-  Matrix& v = it->second;
-  if (!inserted) {
-    DTREC_CHECK_EQ(v.rows(), param->rows());
-    DTREC_CHECK_EQ(v.cols(), param->cols());
-  }
-  for (size_t i = 0; i < param->size(); ++i) {
-    const double g = grad.at_flat(i) + weight_decay_ * param->at_flat(i);
-    v.at_flat(i) = momentum_ * v.at_flat(i) + g;
-    param->at_flat(i) -= lr_ * v.at_flat(i);
+  auto [it, inserted] = velocity_.try_emplace(param);
+  Matrix& velocity = it->second;
+  if (inserted) velocity = Matrix(param->rows(), param->cols());
+  DTREC_CHECK_EQ(velocity.rows(), param->rows());
+  DTREC_CHECK_EQ(velocity.cols(), param->cols());
+  double* v = velocity.data();
+  for (size_t i = 0; i < n; ++i) {
+    const double g = gr[i] + weight_decay_ * p[i];
+    v[i] = momentum_ * v[i] + g;
+    p[i] -= lr_ * v[i];
   }
 }
 

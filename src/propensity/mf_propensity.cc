@@ -34,12 +34,15 @@ Status MfPropensity::Fit(const RatingDataset& dataset) {
     steps = std::clamp<size_t>(cells / config_.batch_cells, 20, 200);
   }
 
+  // One autograd workspace for the whole fit, reset before each step's
+  // graph so its node buffers are reused.
+  ag::Tape tape;
   for (size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     for (size_t step = 0; step < steps; ++step) {
       const Batch batch = sampler.Sample(config_.batch_cells);
       const Matrix weights(batch.size(), 1,
                            1.0 / static_cast<double>(batch.size()));
-      ag::Tape tape;
+      tape.Reset();
       std::vector<ag::Var> leaves = model_.MakeLeaves(&tape);
       ag::Var logits =
           model_.BatchLogits(&tape, leaves, batch.users, batch.items);

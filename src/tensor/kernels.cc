@@ -168,11 +168,17 @@ void GemmStrided(size_t m, size_t n, size_t k, const double* a, size_t ars,
                  size_t acs, const double* b, size_t brs, size_t bcs,
                  double* c, size_t ldc) {
   if (m == 0 || n == 0 || k == 0) return;
-  // Pack buffers sized to the problem, not the maximum panel, so the many
-  // small matmuls in training (batch×dim shapes) don't pay for 1 MB of
-  // zeroed scratch per call.
-  std::vector<double> packa(RoundUp(std::min(m, kMc), kMr) * std::min(k, kKc));
-  std::vector<double> packb(RoundUp(std::min(n, kNc), kNr) * std::min(k, kKc));
+  // Pack buffers are kept per thread and grow to the largest problem the
+  // thread has seen (at most one full kMc×kKc + kKc×kNc panel pair, 1.2 MB),
+  // so the many small matmuls of a training step allocate nothing. Packing
+  // writes every entry it later reads, padding included, so stale contents
+  // never leak into a product.
+  thread_local std::vector<double> packa;
+  thread_local std::vector<double> packb;
+  const size_t packa_size = RoundUp(std::min(m, kMc), kMr) * std::min(k, kKc);
+  const size_t packb_size = RoundUp(std::min(n, kNc), kNr) * std::min(k, kKc);
+  if (packa.size() < packa_size) packa.resize(packa_size);
+  if (packb.size() < packb_size) packb.resize(packb_size);
   for (size_t jc = 0; jc < n; jc += kNc) {
     const size_t nc = std::min(kNc, n - jc);
     for (size_t pc = 0; pc < k; pc += kKc) {

@@ -43,12 +43,19 @@ Matrix Matrix::RandomUniform(size_t rows, size_t cols, double lo, double hi,
 void Matrix::Fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
 Matrix Matrix::Transposed() const {
-  Matrix t(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    const double* src = row(r);
-    for (size_t c = 0; c < cols_; ++c) t(c, r) = src[c];
-  }
+  Matrix t;
+  TransposeInto(&t);
   return t;
+}
+
+void Matrix::TransposeInto(Matrix* out) const {
+  DTREC_CHECK(out != nullptr && out != this);
+  out->Resize(cols_, rows_);
+  const double* src = data_.data();
+  double* dst = out->data();
+  for (size_t r = 0; r < rows_; ++r) {
+    for (size_t c = 0; c < cols_; ++c) dst[c * rows_ + r] = src[r * cols_ + c];
+  }
 }
 
 Matrix Matrix::RowCopy(size_t r) const {
@@ -140,10 +147,7 @@ std::string Matrix::DebugString(size_t max_rows, size_t max_cols) const {
 
 bool operator==(const Matrix& a, const Matrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a.at_flat(i) != b.at_flat(i)) return false;
-  }
-  return true;
+  return std::equal(a.data(), a.data() + a.size(), b.data());
 }
 
 }  // namespace dtrec

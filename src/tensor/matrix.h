@@ -97,8 +97,21 @@ class Matrix {
   /// Sets every entry to 0.
   void SetZero() { Fill(0.0); }
 
+  /// Changes the shape to rows×cols in place. The allocation is kept
+  /// whenever it is already large enough, which is how the autograd
+  /// workspace and the out-parameter kernels in tensor/ops.h reuse buffers
+  /// across steps. Entry values are unspecified afterwards.
+  void Resize(size_t rows, size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   /// Returns a new matrix that is the transpose of this one.
   Matrix Transposed() const;
+
+  /// Writes the transpose into `out` (resized in place; must not alias).
+  void TransposeInto(Matrix* out) const;
 
   /// Copies row r into a 1×cols matrix.
   Matrix RowCopy(size_t r) const;

@@ -1,41 +1,48 @@
 #ifndef DTREC_TENSOR_OPS_H_
 #define DTREC_TENSOR_OPS_H_
 
-#include <functional>
+#include <vector>
 
 #include "tensor/matrix.h"
 
 namespace dtrec {
 
 // Free-function kernels over Matrix. All functions check shapes with
-// DTREC_CHECK and return freshly allocated results unless the name says
-// InPlace. These are the primitives the autograd ops and the analytic
-// trainers are written against.
+// DTREC_CHECK once per call and then loop over raw data() pointers. A form
+// taking a trailing `Matrix* out` writes into `out`, resizing it in place,
+// so a caller that keeps `out` between calls (the autograd workspace)
+// allocates nothing once the buffer has grown; `out` must not alias an
+// input. Where a value-returning form also exists it allocates its result
+// and runs the same loop, so both forms are bit-identical.
 
 /// C = A * B. Requires A.cols() == B.rows().
 Matrix MatMul(const Matrix& a, const Matrix& b);
+void MatMul(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// C = Aᵀ * B. Requires A.rows() == B.rows(). Avoids materializing Aᵀ.
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);
+void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// C = A * Bᵀ. Requires A.cols() == B.cols(). Avoids materializing Bᵀ.
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
+void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// Row-wise dot products: C(r, 0) = A.row(r) · B.row(r). Shapes must
 /// match. Batched through the kernel layer so the finiteness guard runs
 /// once on the whole result instead of per row.
-Matrix RowwiseDot(const Matrix& a, const Matrix& b);
+void RowwiseDot(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// Element-wise sum / difference / product (Hadamard). Shapes must match.
-Matrix Add(const Matrix& a, const Matrix& b);
-Matrix Sub(const Matrix& a, const Matrix& b);
+void Add(const Matrix& a, const Matrix& b, Matrix* out);
+void Sub(const Matrix& a, const Matrix& b, Matrix* out);
 Matrix Hadamard(const Matrix& a, const Matrix& b);
+void Hadamard(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// Element-wise division a ./ b; caller guarantees b has no zeros.
-Matrix Divide(const Matrix& a, const Matrix& b);
+void Divide(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// alpha * A.
-Matrix Scale(const Matrix& a, double alpha);
+void Scale(const Matrix& a, double alpha, Matrix* out);
 
 /// A += alpha * B (axpy). Shapes must match.
 void AddScaledInPlace(Matrix* a, const Matrix& b, double alpha);
@@ -43,11 +50,9 @@ void AddScaledInPlace(Matrix* a, const Matrix& b, double alpha);
 /// A *= alpha.
 void ScaleInPlace(Matrix* a, double alpha);
 
-/// Applies f to every entry, returning a new matrix.
-Matrix Map(const Matrix& a, const std::function<double(double)>& f);
-
 /// Element-wise logistic sigmoid (numerically stable).
 Matrix SigmoidMat(const Matrix& a);
+void SigmoidMat(const Matrix& a, Matrix* out);
 
 /// Row r of `a` dotted with row r2 of `b`; rows must have equal length.
 double RowDot(const Matrix& a, size_t r, const Matrix& b, size_t r2);
@@ -64,10 +69,13 @@ Matrix RowSums(const Matrix& a);
 
 /// Horizontal concatenation [A | B]. Row counts must match.
 Matrix HConcat(const Matrix& a, const Matrix& b);
+void HConcat(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// Gathers the listed rows of `a` into a new matrix (one output row per
 /// index, duplicates allowed).
 Matrix GatherRows(const Matrix& a, const std::vector<size_t>& rows);
+void GatherRows(const Matrix& a, const std::vector<size_t>& rows,
+                Matrix* out);
 
 /// Adds each row of `grad` into row `rows[i]` of `accum` (scatter-add, the
 /// adjoint of GatherRows).

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "autograd/grad_check.h"
@@ -363,6 +364,218 @@ TEST(TapeTest, ConstantReceivesNoBackwardCall) {
   ag::Var loss = ag::Sum(ag::Mul(a, c));
   tape.Backward(loss);
   EXPECT_DOUBLE_EQ(a.grad()(0, 0), 2.0);
+}
+
+// ------------------------------------------------------- tape as workspace
+
+/// Raw double equality of shape and every entry (no tolerance).
+void ExpectBitEqual(const Matrix& actual, const Matrix& expected) {
+  ASSERT_EQ(actual.rows(), expected.rows());
+  ASSERT_EQ(actual.cols(), expected.cols());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual.at_flat(i), expected.at_flat(i)) << "entry " << i;
+  }
+}
+
+/// Graph A: an MLP-tower-shaped graph touching most op kinds.
+struct GraphA {
+  std::vector<ag::Var> nodes;  // every Var built, leaves first
+  ag::Var loss;
+};
+
+GraphA BuildGraphA(ag::Tape* t) {
+  const Matrix p = RandomMat(5, 3, 40, 0.5);
+  const Matrix q = RandomMat(6, 3, 41, 0.5);
+  const Matrix w1 = RandomMat(9, 4, 42, 0.5);
+  const Matrix labels{{1}, {0}, {1}, {0}};
+  const Matrix weights{{0.5}, {0.0}, {2.0}, {0.25}};
+  GraphA g;
+  ag::Var vp = t->Leaf(p), vq = t->Leaf(q), vw = t->Leaf(w1);
+  ag::Var pu = ag::GatherRows(vp, {0, 4, 4, 2});
+  ag::Var qi = ag::GatherRows(vq, {5, 1, 0, 1});
+  ag::Var hidden = ag::Relu(ag::MatMul(ag::PairFeatures(pu, qi), vw));
+  ag::Var logits = ag::RowwiseDot(hidden, hidden);
+  ag::Var rating = ag::SigmoidSquaredErrorSum(ag::RowwiseDot(pu, qi),
+                                             labels, weights);
+  ag::Var bce = ag::SigmoidBceSum(logits, labels, weights);
+  ag::Var reg = ag::GramFrobeniusSq(vp, vq);
+  g.loss = ag::Add(ag::Add(rating, bce), ag::Scale(reg, 1e-2));
+  g.nodes = {vp, vq, vw, pu, qi, hidden, logits, rating, bce, reg, g.loss};
+  return g;
+}
+
+TEST(TapeWorkspaceTest, ResetAndRebuildMatchesFreshTape) {
+  ag::Tape fresh;
+  const GraphA expected = BuildGraphA(&fresh);
+  fresh.Backward(expected.loss);
+
+  ag::Tape reused;
+  GraphA first = BuildGraphA(&reused);
+  reused.Backward(first.loss);
+  reused.Reset();
+  // Graph B: other shapes at the same node indices, larger and smaller.
+  ag::Var big = reused.Leaf(RandomMat(40, 7, 43));
+  ag::Var small = ag::Sum(ag::Square(ag::Transpose(big)));
+  ag::Var scaled = ag::Scale(ag::Exp(ag::Scale(small, 1e-3)), 2.0);
+  reused.Backward(ag::Add(scaled, ag::FrobeniusSq(big)));
+  reused.Reset();
+  const GraphA again = BuildGraphA(&reused);
+  reused.Backward(again.loss);
+
+  ASSERT_EQ(reused.num_nodes(), fresh.num_nodes());
+  for (size_t i = 0; i < expected.nodes.size(); ++i) {
+    SCOPED_TRACE(i);
+    ExpectBitEqual(again.nodes[i].value(), expected.nodes[i].value());
+    ExpectBitEqual(again.nodes[i].grad(), expected.nodes[i].grad());
+  }
+}
+
+TEST(TapeWorkspaceTest, ResetKeepsNodeBuffers) {
+  ag::Tape tape;
+  ag::Var a = tape.Leaf(RandomMat(8, 8, 44));
+  tape.Backward(ag::Sum(ag::Square(a)));
+  const double* value_buffer = a.value().data();
+  tape.Reset();
+  ag::Var b = tape.Leaf(RandomMat(4, 4, 45));  // smaller: fits in place
+  EXPECT_EQ(b.id(), a.id());
+  EXPECT_EQ(b.value().data(), value_buffer);
+  ExpectBitEqual(b.grad(), Matrix(4, 4));  // zeroed, not stale
+}
+
+TEST(TapeDeathTest, VarKeptAcrossResetDies) {
+  ag::Tape tape;
+  ag::Var stale = tape.Leaf(Matrix{{1.0}});
+  tape.Reset();
+  ag::Var live = tape.Leaf(Matrix{{2.0}});  // reuses index 0
+  ASSERT_EQ(live.id(), stale.id());
+  EXPECT_DEATH((void)tape.ValueOf(stale), "after its tape was Reset");
+  EXPECT_DEATH((void)tape.GradOf(stale), "after its tape was Reset");
+  EXPECT_DEATH((void)stale.value(), "after its tape was Reset");
+  EXPECT_DEATH((void)ag::Scale(stale, 2.0), "after its tape was Reset");
+  EXPECT_DEATH((void)ag::Add(live, stale), "after its tape was Reset");
+}
+
+// ------------------------------------------------------------- fused ops
+
+/// Inputs of the fused-op fixtures: negative logits, zero weights.
+struct FusedFixture {
+  Matrix a = RandomMat(5, 3, 50);
+  Matrix b = RandomMat(5, 3, 51);
+  Matrix logits{{-2.5}, {0.0}, {1.25}, {-0.75}, {3.0}};
+  Matrix labels{{1}, {0}, {0}, {1}, {1}};
+  Matrix labels2{{0}, {0}, {1}, {1}, {0}};
+  Matrix weights{{0.4}, {0.0}, {1.5}, {0.0}, {0.2}};
+  Matrix weights2{{0.0}, {0.3}, {0.0}, {2.0}, {0.1}};
+  Matrix head = RandomMat(5, 9, 52);  // weights on the 5×9 features
+};
+
+/// The chain PairFeatures replaces, built in the order the fused rule
+/// mirrors: HConcat first, then Mul, then the outer HConcat.
+ag::Var UnfusedPairFeatures(ag::Var a, ag::Var b) {
+  ag::Var pair = ag::HConcat(a, b);
+  ag::Var product = ag::Mul(a, b);
+  return ag::HConcat(pair, product);
+}
+
+/// The chain SigmoidSquaredErrorSum replaces.
+ag::Var UnfusedSquaredError(ag::Tape* t, ag::Var logits, const Matrix& y,
+                            const Matrix& w) {
+  ag::Var probs = ag::Sigmoid(logits);
+  ag::Var residual = ag::Sub(t->Constant(y), probs);
+  return ag::WeightedSumElems(ag::Square(residual), w);
+}
+
+TEST(FusedOpTest, PairFeaturesBitMatchesUnfusedChain) {
+  const FusedFixture f;
+  for (bool same_operand : {false, true}) {
+    SCOPED_TRACE(same_operand);
+    auto build = [&](ag::Tape* t, bool fused, ag::Var* a, ag::Var* b) {
+      *a = t->Leaf(f.a);
+      *b = same_operand ? *a : t->Leaf(f.b);
+      ag::Var features =
+          fused ? ag::PairFeatures(*a, *b) : UnfusedPairFeatures(*a, *b);
+      // A later use of `a` adds into its gradient before the features do.
+      ag::Var extra = ag::FrobeniusSq(ag::Scale(*a, 0.3));
+      return std::make_pair(features,
+                            ag::Add(ag::WeightedSumElems(
+                                        ag::Square(features), f.head),
+                                    extra));
+    };
+    ag::Tape fused_tape, chain_tape;
+    ag::Var fa, fb, ca, cb;
+    auto [fused, fused_loss] = build(&fused_tape, true, &fa, &fb);
+    auto [chain, chain_loss] = build(&chain_tape, false, &ca, &cb);
+    fused_tape.Backward(fused_loss);
+    chain_tape.Backward(chain_loss);
+    ExpectBitEqual(fused.value(), chain.value());
+    ExpectBitEqual(fused_loss.value(), chain_loss.value());
+    ExpectBitEqual(fa.grad(), ca.grad());
+    ExpectBitEqual(fb.grad(), cb.grad());
+  }
+}
+
+TEST(FusedOpTest, SigmoidSquaredErrorSumBitMatchesUnfusedChain) {
+  const FusedFixture f;
+  auto build = [&](ag::Tape* t, bool fused, ag::Var* logits) {
+    *logits = t->Leaf(f.logits);
+    // The logits feed two losses, as DIB's unbiased logits do.
+    ag::Var first = fused ? ag::SigmoidSquaredErrorSum(*logits, f.labels,
+                                                       f.weights)
+                          : UnfusedSquaredError(t, *logits, f.labels,
+                                                f.weights);
+    ag::Var second = fused ? ag::SigmoidSquaredErrorSum(*logits, f.labels2,
+                                                        f.weights2)
+                           : UnfusedSquaredError(t, *logits, f.labels2,
+                                                 f.weights2);
+    return ag::Add(first, ag::Scale(second, -0.7));
+  };
+  ag::Tape fused_tape, chain_tape;
+  ag::Var fused_logits, chain_logits;
+  ag::Var fused_loss = build(&fused_tape, true, &fused_logits);
+  ag::Var chain_loss = build(&chain_tape, false, &chain_logits);
+  fused_tape.Backward(fused_loss);
+  chain_tape.Backward(chain_loss);
+  ExpectBitEqual(fused_loss.value(), chain_loss.value());
+  ExpectBitEqual(fused_logits.grad(), chain_logits.grad());
+}
+
+TEST(GradCheckTest, PairFeatures) {
+  const Matrix head = FusedFixture().head;
+  CheckGradients(
+      [head](ag::Tape* t, std::vector<ag::Var>* leaves,
+             const std::vector<Matrix>& p) {
+        leaves->push_back(t->Leaf(p[0]));
+        leaves->push_back(t->Leaf(p[1]));
+        ag::Var features = ag::PairFeatures((*leaves)[0], (*leaves)[1]);
+        return ag::WeightedSumElems(ag::Square(features), head);
+      },
+      {FusedFixture().a, FusedFixture().b});
+}
+
+TEST(GradCheckTest, PairFeaturesSameOperand) {
+  const Matrix head = FusedFixture().head;
+  CheckGradients(
+      [head](ag::Tape* t, std::vector<ag::Var>* leaves,
+             const std::vector<Matrix>& p) {
+        leaves->push_back(t->Leaf(p[0]));
+        ag::Var features = ag::PairFeatures((*leaves)[0], (*leaves)[0]);
+        return ag::WeightedSumElems(features, head);
+      },
+      {FusedFixture().a});
+}
+
+TEST(GradCheckTest, SigmoidSquaredErrorSum) {
+  const FusedFixture f;
+  CheckGradients(
+      [f](ag::Tape* t, std::vector<ag::Var>* leaves,
+          const std::vector<Matrix>& p) {
+        leaves->push_back(t->Leaf(p[0]));
+        return ag::Add(
+            ag::SigmoidSquaredErrorSum((*leaves)[0], f.labels, f.weights),
+            ag::SigmoidSquaredErrorSum((*leaves)[0], f.labels2,
+                                       f.weights2));
+      },
+      {f.logits});
 }
 
 TEST(NumericalGradientTest, QuadraticExact) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "baselines/ips.h"
 #include "core/disentangled_embeddings.h"
 #include "core/dt_dr.h"
 #include "core/dt_ips.h"
@@ -53,6 +54,7 @@ TEST(DisentangledEmbeddingsTest, GraphMatchesScalarForward) {
   const std::vector<size_t> items{14, 2, 7};
   DisentangledGraph graph =
       BuildDisentangledGraph(&tape, emb, users, items);
+  AddGlmPropensityHead(&graph);
   for (size_t i = 0; i < users.size(); ++i) {
     EXPECT_NEAR(graph.rating_logits.value()(i, 0),
                 emb.RatingLogit(users[i], items[i]), 1e-12);
@@ -156,6 +158,29 @@ TEST(DtIpsTest, LargerBetaDrivesBlocksMoreOrthogonal) {
   ASSERT_TRUE(strong_trainer.Fit(world.dataset).ok());
   EXPECT_LT(strong_trainer.embeddings().DisentangleLossValue(),
             weak_trainer.embeddings().DisentangleLossValue());
+}
+
+TEST(DtWorkspaceTest, FitsInOneProcessShareNoState) {
+  // Every trainer owns its autograd workspace, and the GEMM pack buffers
+  // are per thread: a stale buffer leaking from one fit into the next
+  // would make the second DT-IPS fit differ from the first.
+  const SimulatedData world = DtWorld(29);
+  const TrainConfig config = DtConfig(7);
+  DtIpsTrainer first(config);
+  ASSERT_TRUE(first.Fit(world.dataset).ok());
+  DtDrTrainer dr(config);
+  ASSERT_TRUE(dr.Fit(world.dataset).ok());
+  IpsTrainer ips(config);
+  ASSERT_TRUE(ips.Fit(world.dataset).ok());
+  DtIpsTrainer second(config);
+  ASSERT_TRUE(second.Fit(world.dataset).ok());
+  size_t differing = 0;
+  for (size_t u = 0; u < world.dataset.num_users(); ++u) {
+    for (size_t i = 0; i < world.dataset.num_items(); ++i) {
+      if (first.Predict(u, i) != second.Predict(u, i)) ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 0u);
 }
 
 TEST(DtIpsTest, PropensityEstimatesTrackOracle) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <utility>
 
 #include "data/rating_dataset.h"
 #include "data/samplers.h"
@@ -164,6 +166,40 @@ TEST(FullMatrixBatchSamplerTest, LookupAndLabels) {
       EXPECT_DOUBLE_EQ(batch.ratings(i, 0), 0.0);
     }
   }
+}
+
+TEST(FullMatrixBatchSamplerTest, LookupMatchesLastRatingPerCell) {
+  // Reference: the cell → rating map that repeated assignment builds, so
+  // a cell listed twice in train reads its last rating.
+  RatingDataset ds(30, 40);
+  Rng rng(19);
+  std::map<std::pair<size_t, size_t>, double> expected;
+  for (int n = 0; n < 500; ++n) {
+    const auto u = static_cast<uint32_t>(rng.UniformIndex(30));
+    const auto i = static_cast<uint32_t>(rng.UniformIndex(40));
+    const double rating = static_cast<double>(rng.UniformIndex(5) + 1);
+    ds.AddTrain(u, i, rating);
+    expected[{u, i}] = rating;
+  }
+  ASSERT_LT(expected.size(), 500u);  // the draw includes duplicate cells
+  const FullMatrixBatchSampler sampler(ds, 23);
+  for (const auto& [cell, rating] : expected) {
+    double found = -1.0;
+    ASSERT_TRUE(sampler.Lookup(cell.first, cell.second, &found));
+    EXPECT_EQ(found, rating);
+  }
+  size_t unobserved = 0;
+  for (int n = 0; n < 2000; ++n) {
+    const size_t u = rng.UniformIndex(30);
+    const size_t i = rng.UniformIndex(40);
+    if (expected.count({u, i}) > 0) continue;
+    ++unobserved;
+    double untouched = -1.0;
+    EXPECT_FALSE(sampler.Lookup(u, i, &untouched));
+    EXPECT_EQ(untouched, -1.0);
+  }
+  EXPECT_GT(unobserved, 1000u);
+  EXPECT_FALSE(sampler.Lookup(30, 0, nullptr));  // user out of range
 }
 
 TEST(FullMatrixBatchSamplerTest, ObservedRateMatchesDensity) {

@@ -278,7 +278,8 @@ TEST(KernelsTest, TensorOpsAgreeWithExplicitTransposes) {
   const Matrix c = Matrix::RandomNormal(7, 6, 1.0, &rng);
   EXPECT_TRUE(MatMulTransB(a, c).AllClose(MatMul(a, c.Transposed())));
   const Matrix d = Matrix::RandomNormal(9, 6, 1.0, &rng);
-  const Matrix rd = RowwiseDot(a, d);
+  Matrix rd;
+  RowwiseDot(a, d, &rd);
   for (size_t r = 0; r < a.rows(); ++r) {
     EXPECT_NEAR(rd(r, 0), RowDot(a, r, d, r), 1e-12);
   }

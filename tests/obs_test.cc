@@ -626,7 +626,7 @@ TEST(ObsProfilerTest, StartStopCollectRoundTripWhenAvailable) {
   // Burn CPU so ITIMER_PROF actually fires a few times.
   volatile double sink = 0.0;
   for (int i = 0; i < 50'000'000 && sink < 1e18; ++i) {
-    sink += static_cast<double>(i) * 1.000001;
+    sink = sink + static_cast<double>(i) * 1.000001;
   }
   ASSERT_TRUE(obs::StopProfiler().ok());
   EXPECT_FALSE(obs::ProfilerRunning());

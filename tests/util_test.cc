@@ -233,7 +233,7 @@ TEST(RngTest, ForkIndependentButDeterministic) {
 TEST(StopwatchTest, MeasuresNonNegativeTime) {
   Stopwatch watch;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(watch.ElapsedSeconds(), 0.0);
   EXPECT_GE(watch.ElapsedMillis(), watch.ElapsedSeconds());
   watch.Restart();
