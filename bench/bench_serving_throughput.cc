@@ -1,16 +1,13 @@
 // Serving load generator: sweeps the worker-pool size over a coat-like
 // model and reports QPS + tail latency per thread count, plus cache and
 // degraded-fallback rates. The hot path measured is the full request
-// path: registry acquire → score-cache lookup → blocked top-K scoring.
+// path: registry acquire → score-cache lookup → pruned top-K sweep.
 //
 //   bench_serving_throughput [key=value ...]
 //
 // keys (defaults): threads=1,4,8  requests=20000  k=10  dim=16
 //                  cache=1024  deadline_ms=-1  users=290  items=300
 //                  unique_users=0 (0 → all users; smaller → hotter cache)
-//                  topk_mode=dense (comma list of dense|pruned|quantized —
-//                  the thread sweep reruns per mode, so pruned-vs-dense
-//                  throughput is one run: topk_mode=dense,pruned)
 //                  trace-out= profile-out= (arm request tracing / attach
 //                  the SIGPROF profiler for the whole sweep and write the
 //                  artifacts — this is the DESIGN.md §5k overhead
@@ -39,7 +36,6 @@
 #include "util/atomic_file.h"
 #include "serve/model_registry.h"
 #include "serve/recommend_server.h"
-#include "serve/topk_scorer.h"
 #include "synth/coat_like.h"
 #include "tensor/matrix.h"
 #include "util/random.h"
@@ -61,7 +57,6 @@ struct Args {
   size_t items = 300;
   size_t unique_users = 0;
   uint64_t seed = 42;
-  std::vector<serve::TopKMode> modes = {serve::TopKMode::kDense};
   std::string trace_out;
   std::string profile_out;
 };
@@ -104,19 +99,6 @@ Args Parse(int argc, char** argv) {
       args.trace_out = value;
     } else if (key == "profile-out") {
       args.profile_out = value;
-    } else if (key == "topk_mode") {
-      args.modes.clear();
-      for (const std::string& part : Split(value, ',')) {
-        serve::TopKMode mode;
-        if (!serve::ParseTopKMode(part, &mode)) {
-          std::fprintf(stderr,
-                       "topk_mode must be dense, pruned or quantized "
-                       "(got '%s')\n",
-                       part.c_str());
-          std::exit(2);
-        }
-        args.modes.push_back(mode);
-      }
     } else {
       std::fprintf(stderr, "unknown key '%s'\n", key.c_str());
       std::exit(2);
@@ -152,13 +134,12 @@ struct SweepPoint {
 };
 
 SweepPoint RunSweep(const serve::ModelRegistry& registry, const Args& args,
-                    size_t threads, serve::TopKMode mode) {
+                    size_t threads) {
   serve::ServerConfig config;
   config.num_threads = threads;
   config.default_k = args.k;
   config.default_deadline_ms = args.deadline_ms;
   config.cache.capacity = args.cache;
-  config.cache.mode = mode;
   serve::RecommendServer server(&registry, config);
 
   const size_t user_pool =
@@ -213,34 +194,31 @@ int Main(int argc, char** argv) {
       "serving throughput: %zu requests/point, %zux%zu model dim %zu, "
       "k=%zu, cache=%zu",
       args.requests, args.users, args.items, args.dim, args.k, args.cache));
-  table.SetHeader({"mode", "threads", "qps", "score_p50_us", "score_p95_us",
+  table.SetHeader({"threads", "qps", "score_p50_us", "score_p95_us",
                    "score_p99_us", "total_p50_us", "total_p95_us",
                    "total_p99_us", "cache_hit_pct", "degraded_pct"});
 
-  for (const serve::TopKMode mode : args.modes) {
-    double single_thread_qps = 0.0;
-    for (size_t threads : args.threads) {
-      const SweepPoint point = RunSweep(registry, args, threads, mode);
-      if (threads == 1) single_thread_qps = point.qps;
-      std::printf("mode=%s threads=%zu: %.0f QPS, total p99 %.0fus (%s)\n",
-                  serve::TopKModeName(mode), point.threads, point.qps,
-                  point.stats.total_us.p99_us, point.stats.Summary().c_str());
-      table.AddRow({serve::TopKModeName(mode),
-                    StrFormat("%zu", point.threads),
-                    FormatDouble(point.qps, 0),
-                    FormatDouble(point.stats.score_us.p50_us, 1),
-                    FormatDouble(point.stats.score_us.p95_us, 1),
-                    FormatDouble(point.stats.score_us.p99_us, 1),
-                    FormatDouble(point.stats.total_us.p50_us, 1),
-                    FormatDouble(point.stats.total_us.p95_us, 1),
-                    FormatDouble(point.stats.total_us.p99_us, 1),
-                    FormatDouble(100.0 * point.stats.cache_hit_rate(), 1),
-                    FormatDouble(100.0 * point.stats.degraded_rate(), 1)});
-      if (threads > 1 && single_thread_qps > 0.0) {
-        std::printf("  speedup vs 1 thread: %.2fx (hardware threads: %u)\n",
-                    point.qps / single_thread_qps,
-                    std::thread::hardware_concurrency());
-      }
+  double single_thread_qps = 0.0;
+  for (size_t threads : args.threads) {
+    const SweepPoint point = RunSweep(registry, args, threads);
+    if (threads == 1) single_thread_qps = point.qps;
+    std::printf("threads=%zu: %.0f QPS, total p99 %.0fus (%s)\n",
+                point.threads, point.qps, point.stats.total_us.p99_us,
+                point.stats.Summary().c_str());
+    table.AddRow({StrFormat("%zu", point.threads),
+                  FormatDouble(point.qps, 0),
+                  FormatDouble(point.stats.score_us.p50_us, 1),
+                  FormatDouble(point.stats.score_us.p95_us, 1),
+                  FormatDouble(point.stats.score_us.p99_us, 1),
+                  FormatDouble(point.stats.total_us.p50_us, 1),
+                  FormatDouble(point.stats.total_us.p95_us, 1),
+                  FormatDouble(point.stats.total_us.p99_us, 1),
+                  FormatDouble(100.0 * point.stats.cache_hit_rate(), 1),
+                  FormatDouble(100.0 * point.stats.degraded_rate(), 1)});
+    if (threads > 1 && single_thread_qps > 0.0) {
+      std::printf("  speedup vs 1 thread: %.2fx (hardware threads: %u)\n",
+                  point.qps / single_thread_qps,
+                  std::thread::hardware_concurrency());
     }
   }
 

@@ -724,9 +724,8 @@ void ExtractServingRows(JsonCursor* cur, std::vector<BenchDiffRow>* rows) {
   });
 }
 
-/// Kernel rows: gflops per kernel/variant/shape (higher better); rows
-/// without a positive gflops (the recall sweeps) fall back to ns_per_op
-/// (lower better).
+/// Kernel rows: gflops per kernel/variant/shape (higher better); a row
+/// without a positive gflops falls back to ns_per_op (lower better).
 void ExtractKernelRows(JsonCursor* cur, std::vector<BenchDiffRow>* rows) {
   cur->ParseObject([&](const std::string& key) {
     if (key != "results") {
@@ -806,7 +805,7 @@ Status ExtractBenchRows(const std::string& content, std::string* schema,
   JsonCursor cur{content};
   if (tag == "dtrec-bench-serving-v1") {
     ExtractServingRows(&cur, rows);
-  } else if (tag == "dtrec-bench-kernels-v2") {
+  } else if (tag == "dtrec-bench-kernels-v3") {
     ExtractKernelRows(&cur, rows);
   } else {
     return Status::InvalidArgument("unsupported bench schema '" + tag + "'");

@@ -100,7 +100,7 @@ struct BenchDiffRow {
 
 /// Extracts comparable rows from a dtrec-bench-serving-v1 JSON (per-phase
 /// users_per_sec and p99_us, plus the summary per-core SLO throughput) or
-/// a dtrec-bench-kernels-v2 JSON (per kernel/variant/shape gflops).
+/// a dtrec-bench-kernels-v3 JSON (per kernel/variant/shape gflops).
 /// `schema` (optional) receives the detected tag so callers can refuse to
 /// diff across schemas.
 Status ExtractBenchRows(const std::string& content, std::string* schema,

@@ -49,10 +49,7 @@ struct ServerConfig {
   /// Injectable monotonic-microsecond clock for the breakers (tests drive
   /// backoff deterministically); default = steady_clock.
   CircuitBreaker::ClockFn breaker_clock;
-  /// Score-cache + sweep knobs: cache.capacity = 0 disables the score
-  /// cache; cache.mode picks the ScoreFresh sweep (dense / pruned /
-  /// quantized — see TopKMode); cache.sweep_shard_items sizes the blocked
-  /// sweeps' shards.
+  /// Score-cache knobs: cache.capacity = 0 disables the score cache.
   ScoreCacheConfig cache;
   /// Registry backing the server's counters and latency histograms, so
   /// serving shares the export path (DumpText/DumpJson) with the rest of

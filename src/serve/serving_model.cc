@@ -29,10 +29,6 @@ double RowNorm(const double* row, size_t d) {
   return std::sqrt(sq);
 }
 
-int8_t ClampToInt8(long v) {
-  return static_cast<int8_t>(std::min<long>(127, std::max<long>(-127, v)));
-}
-
 }  // namespace
 
 Status ServingModel::ValidateCatalogueSize(size_t num_items) {
@@ -116,28 +112,22 @@ double ServingModel::Score(size_t user, size_t item) const {
 
 void ServingModel::ScoreAllItems(size_t user,
                                  std::vector<double>* out) const {
-  out->resize(num_items());
-  ScoreItemRange(user, 0, num_items(), out->data());
-}
-
-void ServingModel::ScoreItemRange(size_t user, size_t begin, size_t end,
-                                  double* out) const {
-  DTREC_DCHECK(user < num_users() && begin <= end && end <= num_items());
-  const size_t d = dim();
-  const size_t len = end - begin;
+  DTREC_DCHECK(user < num_users());
+  const size_t n = num_items();
+  out->resize(n);
+  double* scores = out->data();
   const double* pu = user_factors_.row(user);
   // Batched row-dot from the shared kernel layer: the user vector (ldb=0
-  // broadcast) against the item rows of the shard, four rows per pass.
-  kernels::BatchedRowDot(len, d, item_factors_.row(begin), d, pu, 0, out);
+  // broadcast) against every item row, four rows per pass.
+  kernels::BatchedRowDot(n, dim(), item_factors_.data(), dim(), pu, 0,
+                         scores);
   // Both biases fold into one fused pass (ub + bi per item); the common
   // no-bias case never re-touches the score buffer at all.
   const double ub = user_bias_.empty() ? 0.0 : user_bias_(user, 0);
   if (!item_bias_.empty()) {
-    for (size_t i = begin; i < end; ++i) {
-      out[i - begin] += ub + item_bias_(i, 0);
-    }
+    for (size_t i = 0; i < n; ++i) scores[i] += ub + item_bias_(i, 0);
   } else if (ub != 0.0) {
-    for (size_t i = 0; i < len; ++i) out[i] += ub;
+    for (size_t i = 0; i < n; ++i) scores[i] += ub;
   }
 }
 
@@ -145,7 +135,7 @@ double ServingModel::SweepScore(size_t user, size_t item) const {
   DTREC_DCHECK(user < num_users() && item < num_items());
   const size_t d = dim();
   const double* pu = user_factors_.row(user);
-  // Reproduce the accumulation the item gets inside ScoreItemRange by
+  // Reproduce the accumulation the item gets inside ScoreAllItems by
   // running the *same* kernel over the item's own group: body lanes of
   // BatchedRowDot depend only on their own row, so a 4-row call over the
   // item's aligned group yields the identical bits (a re-derived scalar
@@ -180,7 +170,7 @@ void ServingModel::ScoreNormOrderedRange(size_t user, size_t begin,
   const double* pu = user_factors_.row(user);
   // The permuted table is padded to a multiple of 4 rows, so rounding the
   // window up keeps every real item in a body lane of BatchedRowDot —
-  // the same lane arithmetic ScoreItemRange gives body items. Pad lanes
+  // the same lane arithmetic ScoreAllItems gives body items. Pad lanes
   // score the zero row and are simply not emitted.
   const size_t padded = (count + 3) & ~size_t{3};
   kernels::BatchedRowDot(padded, d, norm_sorted_factors_.row(begin), d, pu,
@@ -189,7 +179,8 @@ void ServingModel::ScoreNormOrderedRange(size_t user, size_t begin,
   for (size_t t = 0; t < count; ++t) {
     const uint32_t item = norm_order_[begin + t];
     if (item >= sweep_tail_begin_) {
-      // Dense scores this item in tail order; re-run it down that path.
+      // ScoreAllItems scores this item in tail order; re-run it down
+      // that path.
       out[t] = SweepScore(user, item);
     } else if (!item_bias_.empty()) {
       out[t] += ub + item_bias_(item, 0);
@@ -242,57 +233,6 @@ void ServingModel::BuildSweepIndex() {
     const double* src = item_factors_.row(norm_order_[j]);
     std::copy(src, src + d, norm_sorted_factors_.row(j));
   }
-
-  // Per-item affine int8 quantization: v ≈ scale·(q − zp). The zero point
-  // is chosen so the row's [lo, hi] range maps onto [−127, 127]; constant
-  // rows fall back to a symmetric encoding. zp is kept as int32 (it only
-  // appears in the dequantized-dot correction term, never as a stored
-  // lane), so rows centered far from zero still encode exactly.
-  quantized_items_.resize(n * d);
-  item_scales_.resize(n);
-  item_zero_points_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const double* q = item_factors_.row(i);
-    double lo = q[0], hi = q[0];
-    for (size_t p = 1; p < d; ++p) {
-      lo = std::min(lo, q[p]);
-      hi = std::max(hi, q[p]);
-    }
-    double scale;
-    long zp;
-    if (hi - lo > 1e-12) {
-      scale = (hi - lo) / 254.0;
-      zp = -127 - std::lround(lo / scale);
-    } else {
-      const double amax = std::max(std::abs(lo), std::abs(hi));
-      scale = amax > 0.0 ? amax / 127.0 : 1.0;
-      zp = 0;
-    }
-    item_scales_[i] = scale;
-    item_zero_points_[i] = static_cast<int32_t>(zp);
-    int8_t* out = quantized_items_.data() + i * d;
-    for (size_t p = 0; p < d; ++p) {
-      out[p] = ClampToInt8(std::lround(q[p] / scale) + zp);
-    }
-  }
-}
-
-void ServingModel::QuantizeUserVector(size_t user, int8_t* out, double* scale,
-                                      int32_t* sum) const {
-  DTREC_DCHECK(user < num_users());
-  const size_t d = dim();
-  const double* pu = user_factors_.row(user);
-  double amax = 0.0;
-  for (size_t p = 0; p < d; ++p) amax = std::max(amax, std::abs(pu[p]));
-  const double s = amax > 0.0 ? amax / 127.0 : 1.0;
-  int32_t total = 0;
-  for (size_t p = 0; p < d; ++p) {
-    const int8_t q = ClampToInt8(std::lround(pu[p] / s));
-    out[p] = q;
-    total += q;
-  }
-  *scale = s;
-  *sum = total;
 }
 
 }  // namespace dtrec::serve

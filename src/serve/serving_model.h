@@ -71,44 +71,32 @@ class ServingModel {
   double Score(size_t user, size_t item) const;
 
   /// Scores `user` against every item into `out` (resized to num_items()).
-  /// Blocked over items so the user vector and a tile of item rows stay
-  /// cache-resident; inner dot is 4-way unrolled. Biases (when present)
-  /// are folded in with a single fused pass over the score buffer.
+  /// One BatchedRowDot pass over the item rows (the user vector broadcast
+  /// against four item rows at a time); biases (when present) are folded
+  /// in with a single fused pass over the score buffer. The oracle
+  /// BruteForceTopK sorts this.
   void ScoreAllItems(size_t user, std::vector<double>* out) const;
-
-  /// Scores `user` against items [begin, end) into `out[0 .. end-begin)`.
-  /// This is the shard primitive behind ScoreAllItems: results are
-  /// bit-identical to the corresponding slice of a full ScoreAllItems pass
-  /// *provided `begin` is a multiple of 4* (BatchedRowDot groups rows in
-  /// fours; aligned shard starts keep every item in the same body/tail
-  /// group it occupies in the unsharded sweep — see sweep_tail_begin()).
-  void ScoreItemRange(size_t user, size_t begin, size_t end,
-                      double* out) const;
 
   /// Score of one item, bit-identical to the value ScoreAllItems writes
   /// for it. Routes through BatchedRowDot itself — the item's aligned
   /// 4-row group for body items, the 1-row tail path for ragged-tail
   /// items — so the accumulation order (and the compiler's codegen for
-  /// it) is the dense kernel's by construction, then mirrors the fused
-  /// bias add. Primitive behind the quantized rerank and the pruned
-  /// sweep's tail fix-up; costs one 4-row group dot per call.
+  /// it) is ScoreAllItems' by construction, then mirrors the fused
+  /// bias add. Primitive behind the pruned sweep's tail fix-up; costs one
+  /// 4-row group dot per call.
   double SweepScore(size_t user, size_t item) const;
 
   /// Scores the norm_order() window [begin, begin+count) into
   /// `out[0..count)`, each value bit-identical to what ScoreAllItems
   /// produces for that item. `begin` must be a multiple of 4; `count` is
   /// clipped to the catalogue. `out` must have room for count rounded up
-  /// to a multiple of 4 (pad lanes are scratch, not results). Internally sweeps a norm-permuted,
-  /// 4-row-padded copy of the item factors so the window is contiguous
-  /// for BatchedRowDot, then re-scores the (≤3) items that live in the
-  /// dense sweep's ragged tail via SweepScore. The pruned top-K sweep's
-  /// chunk primitive.
+  /// to a multiple of 4 (pad lanes are scratch, not results). Internally
+  /// sweeps a norm-permuted, 4-row-padded copy of the item factors so the
+  /// window is contiguous for BatchedRowDot, then re-scores the (≤3) items
+  /// that live in ScoreAllItems' ragged tail via SweepScore. The pruned
+  /// top-K sweep's chunk primitive.
   void ScoreNormOrderedRange(size_t user, size_t begin, size_t count,
                              double* out) const;
-
-  /// First item of BatchedRowDot's ragged tail: num_items() − num_items()%4.
-  /// Items at or past this index accumulate in tail order.
-  size_t sweep_tail_begin() const { return sweep_tail_begin_; }
 
   // --- norm-bound pruning support (precomputed at build time) -----------
 
@@ -130,21 +118,6 @@ class ServingModel {
     return norm_order_bias_max_;
   }
 
-  // --- int8 quantized-sweep support (precomputed at build time) ---------
-
-  /// Row-major |I|×dim() int8 item table; row i dequantizes as
-  /// item_scale(i)·(q − item_zero_point(i)) per coordinate.
-  const int8_t* quantized_items() const { return quantized_items_.data(); }
-  double item_scale(size_t item) const { return item_scales_[item]; }
-  int32_t item_zero_point(size_t item) const {
-    return item_zero_points_[item];
-  }
-  /// Quantizes the user vector symmetrically into `out[0..dim())` (caller
-  /// sizes it); writes the dequantization scale and the sum of quantized
-  /// coordinates (the zero-point correction term for the approx dot).
-  void QuantizeUserVector(size_t user, int8_t* out, double* scale,
-                          int32_t* sum) const;
-
   /// Items sorted by popularity descending (ties by id ascending): the
   /// degraded-fallback ranking, precomputed at build time so a fallback
   /// response is O(K).
@@ -161,7 +134,7 @@ class ServingModel {
   }
 
   /// Fills every sweep-support table (norms, norm order, bias suffix max,
-  /// int8 item table). Called once at the end of FromFactors.
+  /// norm-permuted factors). Called once at the end of FromFactors.
   void BuildSweepIndex();
 
   uint64_t generation_head_ = 0;
@@ -171,8 +144,8 @@ class ServingModel {
   Matrix item_bias_;     // |I|×1 or empty
   std::vector<double> item_popularity_;    // |I|
   std::vector<uint32_t> popularity_ranking_;  // |I|, popularity desc
-  // Sub-linear sweep tables (BuildSweepIndex).
-  size_t sweep_tail_begin_ = 0;
+  // Pruned-sweep tables (BuildSweepIndex).
+  size_t sweep_tail_begin_ = 0;               // first ragged-tail item
   std::vector<double> user_norms_;            // |U|, ‖p_u‖
   std::vector<double> item_norms_;            // |I|, ‖q_i‖
   std::vector<uint32_t> norm_order_;          // |I|, ‖q‖ desc
@@ -182,9 +155,6 @@ class ServingModel {
   // chunks straight to BatchedRowDot (doubles the fp item storage — a
   // deliberate serving-index trade, see DESIGN.md §5j).
   Matrix norm_sorted_factors_;
-  std::vector<int8_t> quantized_items_;       // |I|·d, row-major
-  std::vector<double> item_scales_;           // |I|
-  std::vector<int32_t> item_zero_points_;     // |I|
   uint64_t generation_tail_ = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "tensor/kernels.h"
 #include "util/failpoint.h"
 
 namespace dtrec::serve {
@@ -27,7 +26,6 @@ class BoundedTopK {
   bool full() const { return slate_.size() >= k_; }
   /// Requires full() (and k > 0): the worst entry currently kept.
   const ScoredItem& worst() const { return slate_.front(); }
-  const std::vector<ScoredItem>& items() const { return slate_; }
 
   void Offer(const ScoredItem& candidate) {
     if (slate_.size() < k_) {
@@ -56,183 +54,14 @@ class BoundedTopK {
 /// ulps of margin keep the early exit admissible despite rounding.
 constexpr double kBoundSlack = 1e-9;
 
-/// Thread-local sweep scratch. Survives across requests on the same
-/// worker thread (zero steady-state allocation), but shrinks once its
-/// capacity exceeds 2× what the live catalogue needs — otherwise a
-/// hot-swap from a large to a small catalogue would strand O(|I_old|)
-/// memory on every worker thread for the life of the process.
-std::vector<double>& ScoreScratch() {
-  thread_local std::vector<double> scratch;
-  return scratch;
-}
-
-std::vector<int32_t>& QuantDotScratch() {
-  thread_local std::vector<int32_t> scratch;
-  return scratch;
-}
-
-std::vector<int8_t>& QuantUserScratch() {
-  thread_local std::vector<int8_t> scratch;
-  return scratch;
-}
-
-template <typename T>
-void ResizeScratch(std::vector<T>* scratch, size_t needed) {
-  if (scratch->capacity() > 2 * needed) std::vector<T>().swap(*scratch);
-  scratch->resize(needed);
-}
-
-/// Shard length for the blocked sweeps: a multiple of 4 (min 4) so every
-/// shard boundary lands on a BatchedRowDot 4-row group boundary and the
-/// sharded sweep scores each item in exactly the order the unsharded
-/// sweep would (only the final shard carries the ragged tail).
-size_t ShardLength(const ScoreCacheConfig& config) {
-  const size_t shard = config.sweep_shard_items -
-                       config.sweep_shard_items % 4;
-  return std::max<size_t>(shard, 4);
-}
-
-/// Dense exact sweep, sharded so the score scratch stays cache-sized on
-/// catalogues larger than LLC. k > 0, k <= num_items.
-std::vector<ScoredItem> DenseTopK(const ServingModel& model, size_t user,
-                                  size_t k, size_t shard_len) {
-  const size_t n = model.num_items();
-  BoundedTopK heap(k);
-  std::vector<double>& scores = ScoreScratch();
-  ResizeScratch(&scores, std::min(shard_len, n));
-  for (size_t begin = 0; begin < n; begin += shard_len) {
-    const size_t end = std::min(begin + shard_len, n);
-    model.ScoreItemRange(user, begin, end, scores.data());
-    for (size_t i = begin; i < end; ++i) {
-      heap.Offer({static_cast<uint32_t>(i), scores[i - begin]});
-    }
-  }
-  return std::move(heap).Sorted();
-}
-
-/// Norm-bound pruned sweep. Items are visited in ‖q_i‖-descending order;
-/// by Cauchy–Schwarz every score still ahead of position j is bounded by
-/// ‖p_u‖·‖q_order[j]‖ + bu_u + max-suffix-bias[j], so once that bound
-/// (plus FP slack) drops strictly below the heap root no remaining item
-/// can displace it. Scores come from SweepScore, which reproduces the
-/// dense path's accumulation order — the slate is bit-identical to
-/// DenseTopK/BruteForceTopK. The exit must be strict: a remaining item
-/// could still *tie* the root score with a lower id and rank better only
-/// if its bound equals the root, which the tie-break makes impossible
-/// only when bound < root.
-/// Items the chunked pruned sweep scores per bound check. A multiple of 4
-/// (every chunk stays group-aligned in the permuted table); small enough
-/// that a satisfied bound exits after little wasted work, large enough
-/// that BatchedRowDot runs at full blocked throughput.
+/// Items the sweep scores per bound check. A multiple of 4 (every chunk
+/// stays group-aligned in the permuted table); small enough that a
+/// satisfied bound exits after little wasted work, large enough that
+/// BatchedRowDot runs at full blocked throughput, and small enough that
+/// the chunk's scores live on the stack.
 constexpr size_t kPrunedChunkItems = 64;
 
-std::vector<ScoredItem> PrunedTopK(const ServingModel& model, size_t user,
-                                   size_t k) {
-  const std::vector<uint32_t>& order = model.norm_order();
-  const std::vector<double>& bias_max = model.norm_order_bias_max();
-  const double pu_norm = model.user_norm(user);
-  const double ub = model.user_bias_or_zero(user);
-  const size_t n = order.size();
-  std::vector<double>& scores = ScoreScratch();
-  ResizeScratch(&scores, std::min(kPrunedChunkItems, (n + 3) & ~size_t{3}));
-  BoundedTopK heap(k);
-  // Chunked sweep down the ‖q‖-descending order: score a group-aligned
-  // chunk through the dense kernel (bit-identical per item), offer every
-  // score, and between chunks test the Cauchy–Schwarz + suffix-bias bound
-  // at the chunk head — it upper-bounds all items the sweep has not
-  // reached, so exiting on it is admissible. Checking per chunk instead
-  // of per item only delays the exit by < one chunk of work.
-  for (size_t j = 0; j < n; j += kPrunedChunkItems) {
-    if (heap.full()) {
-      const double pq = pu_norm * model.item_norm(order[j]);
-      const double bound = pq + (ub + bias_max[j]);
-      const double slack = kBoundSlack * (std::abs(pq) + std::abs(ub) +
-                                          std::abs(bias_max[j]));
-      if (bound + slack < heap.worst().score) break;
-    }
-    const size_t count = std::min(kPrunedChunkItems, n - j);
-    model.ScoreNormOrderedRange(user, j, count, scores.data());
-    for (size_t t = 0; t < count; ++t) {
-      heap.Offer({order[j + t], scores[t]});
-    }
-  }
-  return std::move(heap).Sorted();
-}
-
-/// Int8 approximate sweep + exact rerank. The quantized pass reads 8×
-/// less memory per item than the fp64 sweep and scores through the
-/// pmaddwd kernel; the top ~factor·k approximate candidates are then
-/// rescored exactly with SweepScore, so the returned doubles match the
-/// dense path bit-for-bit whenever the true top-K survives the shortlist.
-std::vector<ScoredItem> QuantizedTopK(const ServingModel& model, size_t user,
-                                      size_t k,
-                                      const ScoreCacheConfig& config) {
-  const size_t n = model.num_items();
-  const size_t d = model.dim();
-  const size_t factor = std::max<size_t>(config.quantized_shortlist_factor, 1);
-  const size_t shortlist_k = std::min(factor * k, n);
-
-  std::vector<int8_t>& quser = QuantUserScratch();
-  ResizeScratch(&quser, d);
-  double user_scale = 1.0;
-  int32_t user_sum = 0;
-  model.QuantizeUserVector(user, quser.data(), &user_scale, &user_sum);
-  const double ub = model.user_bias_or_zero(user);
-
-  const size_t shard_len = ShardLength(config);
-  std::vector<int32_t>& qdots = QuantDotScratch();
-  ResizeScratch(&qdots, std::min(shard_len, n));
-  BoundedTopK shortlist(shortlist_k);
-  for (size_t begin = 0; begin < n; begin += shard_len) {
-    const size_t end = std::min(begin + shard_len, n);
-    kernels::QuantizedRowDot(end - begin, d,
-                             model.quantized_items() + begin * d, d,
-                             quser.data(), qdots.data());
-    for (size_t i = begin; i < end; ++i) {
-      // Dequantized dot: su·s_i·(qdot − zp_i·Σb). The zp product is taken
-      // in double — zp is unbounded for rows centered far from zero.
-      const double approx =
-          user_scale * model.item_scale(i) *
-              (static_cast<double>(qdots[i - begin]) -
-               static_cast<double>(model.item_zero_point(i)) * user_sum) +
-          (ub + model.item_bias_or_zero(i));
-      shortlist.Offer({static_cast<uint32_t>(i), approx});
-    }
-  }
-
-  BoundedTopK exact(k);
-  for (const ScoredItem& candidate : shortlist.items()) {
-    exact.Offer({candidate.item, model.SweepScore(user, candidate.item)});
-  }
-  return std::move(exact).Sorted();
-}
-
 }  // namespace
-
-bool ParseTopKMode(const std::string& text, TopKMode* mode) {
-  if (text == "dense") {
-    *mode = TopKMode::kDense;
-  } else if (text == "pruned") {
-    *mode = TopKMode::kPruned;
-  } else if (text == "quantized") {
-    *mode = TopKMode::kQuantized;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* TopKModeName(TopKMode mode) {
-  switch (mode) {
-    case TopKMode::kDense:
-      return "dense";
-    case TopKMode::kPruned:
-      return "pruned";
-    case TopKMode::kQuantized:
-      return "quantized";
-  }
-  return "unknown";
-}
 
 TopKScorer::TopKScorer(ScoreCacheConfig cache_config)
     : config_(cache_config) {}
@@ -273,15 +102,38 @@ std::vector<ScoredItem> TopKScorer::ScoreFresh(const ServingModel& model,
   DTREC_FAILPOINT("serve/score");
   k = std::min(k, model.num_items());
   if (k == 0) return {};
-  switch (config_.mode) {
-    case TopKMode::kPruned:
-      return PrunedTopK(model, user, k);
-    case TopKMode::kQuantized:
-      return QuantizedTopK(model, user, k, config_);
-    case TopKMode::kDense:
-      break;
+  // Norm-bound pruned sweep. Items are visited in ‖q_i‖-descending order;
+  // by Cauchy–Schwarz every score still ahead of position j is bounded by
+  // ‖p_u‖·‖q_order[j]‖ + bu_u + max-suffix-bias[j]. Each chunk is scored
+  // through BatchedRowDot (bit-identical per item to ScoreAllItems),
+  // every score is offered to the heap, and between chunks the bound at
+  // the chunk head is tested: once it (plus FP slack) drops strictly below
+  // the heap root, no remaining item can displace it. Checking per chunk
+  // instead of per item only delays the exit by < one chunk of work. The
+  // exit must be strict: a remaining item whose bound equals the root
+  // could still tie it with a lower id and rank better.
+  const std::vector<uint32_t>& order = model.norm_order();
+  const std::vector<double>& bias_max = model.norm_order_bias_max();
+  const double pu_norm = model.user_norm(user);
+  const double ub = model.user_bias_or_zero(user);
+  const size_t n = order.size();
+  double scores[kPrunedChunkItems] = {};
+  BoundedTopK heap(k);
+  for (size_t j = 0; j < n; j += kPrunedChunkItems) {
+    if (heap.full()) {
+      const double pq = pu_norm * model.item_norm(order[j]);
+      const double bound = pq + (ub + bias_max[j]);
+      const double slack = kBoundSlack * (std::abs(pq) + std::abs(ub) +
+                                          std::abs(bias_max[j]));
+      if (bound + slack < heap.worst().score) break;
+    }
+    const size_t count = std::min(kPrunedChunkItems, n - j);
+    model.ScoreNormOrderedRange(user, j, count, scores);
+    for (size_t t = 0; t < count; ++t) {
+      heap.Offer({order[j + t], scores[t]});
+    }
   }
-  return DenseTopK(model, user, k, ShardLength(config_));
+  return std::move(heap).Sorted();
 }
 
 void TopKScorer::StoreSlate(uint64_t generation, size_t user,
@@ -341,10 +193,6 @@ void TopKScorer::InvalidateAll() {
 size_t TopKScorer::cache_size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
-}
-
-size_t TopKScorer::ScratchCapacityForTesting() {
-  return ScoreScratch().capacity();
 }
 
 std::vector<ScoredItem> BruteForceTopK(const ServingModel& model, size_t user,

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -20,50 +19,19 @@ struct ScoredItem {
   double score = 0.0;
 };
 
-/// How ScoreFresh sweeps the catalogue. All three modes share the bounded
-/// heap and the deterministic ordering contract (score desc, ties by item
-/// id asc); they differ only in how much of the catalogue they touch.
-enum class TopKMode {
-  /// Full O(|I|·d) pass in item-sharded blocks (the default; exact).
-  kDense = 0,
-  /// Norm-bound pruned sweep: items visited in ‖q_i‖-descending order,
-  /// early-exiting once the Cauchy–Schwarz bound on every remaining item
-  /// falls below the heap root. Bit-identical to the dense path.
-  kPruned = 1,
-  /// Int8 approximate sweep shortlisting ~factor·K candidates, then an
-  /// exact fp64 rerank — returned scores are exact doubles, but an item
-  /// squeezed out of the shortlist by quantization error can be missed
-  /// (recall@K is pinned by the bench, not guaranteed).
-  kQuantized = 2,
-};
-
-/// Parses "dense" / "pruned" / "quantized" (the dtrec_serve / bench knob
-/// spelling). Returns false, leaving `mode` untouched, on anything else.
-bool ParseTopKMode(const std::string& text, TopKMode* mode);
-const char* TopKModeName(TopKMode mode);
-
-/// Score-cache + sweep knobs. capacity == 0 disables caching entirely.
+/// Score-cache knobs. capacity == 0 disables caching entirely.
 struct ScoreCacheConfig {
   size_t capacity = 1024;  ///< max users with a cached slate (LRU-evicted)
-  TopKMode mode = TopKMode::kDense;  ///< ScoreFresh sweep strategy
-  /// Item-shard size for the dense/quantized sweeps: scores are produced
-  /// in blocks of this many items so the scratch buffer stays cache-sized
-  /// on large catalogues. Rounded down to a multiple of 4 (min 4) so shard
-  /// boundaries preserve BatchedRowDot's 4-row grouping and sharded
-  /// results stay bit-identical to an unsharded pass.
-  size_t sweep_shard_items = 32768;
-  /// Quantized-mode shortlist size as a multiple of the requested K
-  /// (clamped to ≥ 1 and to the catalogue size).
-  size_t quantized_shortlist_factor = 4;
 };
 
 /// Scores a user against the catalogue and keeps the top K.
 ///
-/// The dense mode runs ServingModel::ScoreItemRange (blocked dot-product
-/// kernel) shard by shard into a thread-local scratch buffer, feeding a
-/// bounded min-heap — O(|I|·d + |I|·log K), no full argsort, no
-/// per-request allocation on the steady state. The pruned and quantized
-/// modes (see TopKMode) cut the |I|·d term sub-linear; DESIGN.md §5j has
+/// One exact sweep: items are visited in ‖q_i‖-descending order, 64 at a
+/// time through the blocked dot-product kernel, into a bounded min-heap;
+/// the sweep stops once the Cauchy–Schwarz bound on every item not yet
+/// visited falls below the heap root. Worst case (flat norms) is the full
+/// O(|I|·d + |I|·log K) pass; no full argsort and no heap-allocated score
+/// buffer. Slates are bit-identical to BruteForceTopK; DESIGN.md §5j has
 /// the math.
 ///
 /// Ordering is deterministic: score descending, ties broken by item id
@@ -96,8 +64,8 @@ class TopKScorer {
   bool CachedSlate(uint64_t generation, size_t user, size_t k,
                    std::vector<ScoredItem>* out);
 
-  /// Scoring stage: full scoring pass + bounded-heap top-K selection, no
-  /// cache interaction. Failpoint site `serve/score` fires at entry (an
+  /// Scoring stage: the norm-bound pruned sweep above, no cache
+  /// interaction. Failpoint site `serve/score` fires at entry (an
   /// armed `abort` spec throws failpoint::FailpointAbort — the injected
   /// "scorer dependency failed" fault the serving ladder degrades on).
   std::vector<ScoredItem> ScoreFresh(const ServingModel& model, size_t user,
@@ -114,11 +82,6 @@ class TopKScorer {
   void InvalidateAll();
 
   size_t cache_size() const;
-
-  /// Capacity of the calling thread's score-scratch buffer — test hook for
-  /// the shrink-after-hot-swap policy (a large→small catalogue swap must
-  /// not strand O(|I_old|) doubles on every worker thread forever).
-  static size_t ScratchCapacityForTesting();
 
  private:
   struct CacheEntry {

@@ -207,71 +207,6 @@ void GemmStrided(size_t m, size_t n, size_t k, const double* a, size_t ars,
   }
 }
 
-/// One int8·int8 → int32 row dot. The SIMD variants widen to int16 lanes
-/// and use pmaddwd (multiply-add adjacent pairs), which is exact here:
-/// each int16 product of two int8 values is ≤ 2^14, so the pairwise adds
-/// and the int32 lane accumulation cannot overflow for any realistic k.
-#if defined(DTREC_KERNEL_AVX2)
-
-inline int32_t QuantizedRowDotOne(size_t k, const int8_t* DTREC_RESTRICT a,
-                                  const int8_t* DTREC_RESTRICT b) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t p = 0;
-  for (; p + 16 <= k; p += 16) {
-    const __m256i av = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + p)));
-    const __m256i bv = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + p)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
-  }
-  __m128i sum = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                              _mm256_extracti128_si256(acc, 1));
-  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(1, 0, 3, 2)));
-  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(2, 3, 0, 1)));
-  int32_t s = _mm_cvtsi128_si32(sum);
-  for (; p < k; ++p) {
-    s += static_cast<int32_t>(a[p]) * static_cast<int32_t>(b[p]);
-  }
-  return s;
-}
-
-#elif defined(DTREC_KERNEL_SSE2)
-
-inline int32_t QuantizedRowDotOne(size_t k, const int8_t* DTREC_RESTRICT a,
-                                  const int8_t* DTREC_RESTRICT b) {
-  __m128i acc = _mm_setzero_si128();
-  size_t p = 0;
-  for (; p + 8 <= k; p += 8) {
-    __m128i av = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + p));
-    __m128i bv = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + p));
-    // Sign-extend 8 int8 lanes to int16: duplicate each byte into both
-    // halves of a word, then arithmetic-shift the high copy down.
-    av = _mm_srai_epi16(_mm_unpacklo_epi8(av, av), 8);
-    bv = _mm_srai_epi16(_mm_unpacklo_epi8(bv, bv), 8);
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(av, bv));
-  }
-  alignas(16) int32_t lanes[4];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  int32_t s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; p < k; ++p) {
-    s += static_cast<int32_t>(a[p]) * static_cast<int32_t>(b[p]);
-  }
-  return s;
-}
-
-#else  // portable scalar fallback
-
-inline int32_t QuantizedRowDotOne(size_t k, const int8_t* DTREC_RESTRICT a,
-                                  const int8_t* DTREC_RESTRICT b) {
-  int32_t s = 0;
-  for (size_t p = 0; p < k; ++p) {
-    s += static_cast<int32_t>(a[p]) * static_cast<int32_t>(b[p]);
-  }
-  return s;
-}
-
-#endif
-
 }  // namespace
 
 void Gemm(size_t m, size_t n, size_t k, const double* a, size_t lda,
@@ -333,11 +268,6 @@ void BatchedRowDot(size_t m, size_t k, const double* a, size_t lda,
   }
 }
 
-void QuantizedRowDot(size_t m, size_t k, const int8_t* a, size_t lda,
-                     const int8_t* b, int32_t* y) {
-  for (size_t i = 0; i < m; ++i) y[i] = QuantizedRowDotOne(k, a + i * lda, b);
-}
-
 namespace naive {
 
 void Gemm(size_t m, size_t n, size_t k, const double* a, size_t lda,
@@ -387,18 +317,6 @@ void BatchedRowDot(size_t m, size_t k, const double* a, size_t lda,
     const double* br = b + i * ldb;
     double s = 0.0;
     for (size_t p = 0; p < k; ++p) s += ar[p] * br[p];
-    y[i] = s;
-  }
-}
-
-void QuantizedRowDot(size_t m, size_t k, const int8_t* a, size_t lda,
-                     const int8_t* b, int32_t* y) {
-  for (size_t i = 0; i < m; ++i) {
-    const int8_t* ar = a + i * lda;
-    int32_t s = 0;
-    for (size_t p = 0; p < k; ++p) {
-      s += static_cast<int32_t>(ar[p]) * static_cast<int32_t>(b[p]);
-    }
     y[i] = s;
   }
 }

@@ -2,7 +2,6 @@
 #define DTREC_TENSOR_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace dtrec::kernels {
 
@@ -56,17 +55,8 @@ void GemmTransB(size_t m, size_t n, size_t k, const double* a, size_t lda,
 void BatchedRowDot(size_t m, size_t k, const double* a, size_t lda,
                    const double* b, size_t ldb, double* y);
 
-/// Int8 batched row-dot for the quantized scoring sweep: y[i] =
-/// Σ_p a[i·lda + p]·b[p] with int32 accumulation, one shared b row
-/// (the quantized user vector) against m item rows. AVX2 (vpmaddwd over
-/// sign-extended lanes), SSE2, and scalar variants. `k` must stay below
-/// ~2^16 so the worst-case |Σ| < 2^14·k cannot overflow int32 —
-/// embedding dims are orders of magnitude smaller. Overwrites y.
-void QuantizedRowDot(size_t m, size_t k, const int8_t* a, size_t lda,
-                     const int8_t* b, int32_t* y);
-
-// Bit-identity contract of BatchedRowDot, relied on by the sub-linear
-// serving sweeps (ServingModel::SweepScore): a body row's result (i <
+// Bit-identity contract of BatchedRowDot, relied on by the pruned serving
+// sweep (ServingModel::SweepScore): a body row's result (i <
 // m − m%4) depends only on that row's data — not on m, not on which of
 // the four group lanes it occupies — and a ragged-tail row's result is
 // exactly what a 1-row call produces. Re-scoring an item therefore goes
@@ -91,8 +81,6 @@ void GemmTransB(size_t m, size_t n, size_t k, const double* a, size_t lda,
                 const double* b, size_t ldb, double* c, size_t ldc);
 void BatchedRowDot(size_t m, size_t k, const double* a, size_t lda,
                    const double* b, size_t ldb, double* y);
-void QuantizedRowDot(size_t m, size_t k, const int8_t* a, size_t lda,
-                     const int8_t* b, int32_t* y);
 
 }  // namespace naive
 

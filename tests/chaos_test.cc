@@ -146,11 +146,8 @@ static_assert(ServeRung::kFullTopK < ServeRung::kCachedSlate &&
 
 /// The headline storm: all four serve failpoints armed at once, client
 /// threads replaying traffic through Submit() while a swapper thread
-/// publishes (and has rejected) new model generations. Parameterised on
-/// the top-K sweep so the pruned early-exit path faces the same faults
-/// as the dense one (the mode only changes how a fresh slate is scored —
-/// every ladder/breaker invariant must hold identically).
-void RunAllFailpointsStorm(TopKMode mode) {
+/// publishes (and has rejected) new model generations.
+TEST_F(ChaosTest, AllServeFailpointsArmedDuringConcurrentReplay) {
   constexpr int kClients = 4;
   constexpr int kPerClient = 300;
   constexpr uint64_t kRequests = kClients * kPerClient;
@@ -186,7 +183,6 @@ void RunAllFailpointsStorm(TopKMode mode) {
   config.default_k = 10;
   config.default_deadline_ms = -1;  // reasons come from faults alone
   config.cache.capacity = 256;
-  config.cache.mode = mode;
   config.metrics = &metrics;
   config.metrics_prefix = "chaos.serve";
   RecommendServer server(&registry, config);
@@ -261,14 +257,6 @@ void RunAllFailpointsStorm(TopKMode mode) {
   EXPECT_GT(admit_fired, 0u);
   EXPECT_GT(score_fired, 0u);
   EXPECT_GT(swap_fired, 0u);
-}
-
-TEST_F(ChaosTest, AllServeFailpointsArmedDuringConcurrentReplay) {
-  RunAllFailpointsStorm(TopKMode::kDense);
-}
-
-TEST_F(ChaosTest, FailpointStormLadderIsModeAgnosticUnderPrunedTopK) {
-  RunAllFailpointsStorm(TopKMode::kPruned);
 }
 
 // ----------------------------------------------- deterministic ladder walk

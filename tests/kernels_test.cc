@@ -153,35 +153,6 @@ TEST(KernelsTest, BatchedRowDotBroadcastsWithZeroStride) {
   }
 }
 
-TEST(KernelsTest, QuantizedRowDotMatchesNaiveExactly) {
-  // Integer arithmetic: the SIMD and scalar paths must agree bit-for-bit
-  // (EXPECT_EQ, no tolerance), including at the int8 extremes and across
-  // every SIMD-width boundary of k.
-  Rng rng(17);
-  for (size_t m : {size_t{1}, size_t{3}, size_t{4}, size_t{5}, size_t{63}}) {
-    for (size_t k : {size_t{1}, size_t{7}, size_t{8}, size_t{15}, size_t{16},
-                     size_t{17}, size_t{33}}) {
-      std::vector<int8_t> a(m * k), b(k);
-      for (int8_t& v : a) {
-        v = static_cast<int8_t>(static_cast<int>(rng.UniformIndex(255)) - 127);
-      }
-      for (int8_t& v : b) {
-        v = static_cast<int8_t>(static_cast<int>(rng.UniformIndex(255)) - 127);
-      }
-      // Plant the extremes so saturation bugs in the widening path show.
-      a[0] = -127;
-      b[0] = 127;
-      std::vector<int32_t> fast(m), ref(m);
-      kernels::QuantizedRowDot(m, k, a.data(), k, b.data(), fast.data());
-      kernels::naive::QuantizedRowDot(m, k, a.data(), k, b.data(),
-                                      ref.data());
-      for (size_t i = 0; i < m; ++i) {
-        EXPECT_EQ(fast[i], ref[i]) << "m=" << m << " k=" << k << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(KernelsTest, BatchedRowDotLanesArePositionIndependent) {
   // Pins the bit-identity contract the serving sweeps rely on: a body
   // row's value (i < m − m%4) depends only on its own data — re-scoring

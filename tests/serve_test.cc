@@ -226,7 +226,7 @@ TEST(TopKScorerTest, GenerationMismatchBypassesStaleEntry) {
   EXPECT_DOUBLE_EQ(new_slate[0].score, 8.0);  // dim·2
 }
 
-// ------------------------------------------- sub-linear top-K sweeps
+// ---------------------------------------------- pruned top-K sweep
 
 // Equivalence fixtures: each one stresses a different hazard of the
 // pruned early-exit (exact ties, all-negative scores, a zero-norm user,
@@ -297,60 +297,66 @@ ServingModel BiasDominatedModel() {
   return std::move(model).value();
 }
 
-/// Asserts `mode` reproduces BruteForceTopK bit-for-bit (items and raw
+/// Catalogue-scale input: 30001 items × dim 32 (item 30000 sits alone in
+/// BatchedRowDot's ragged tail) with user and item biases and a handful
+/// of users. `skewed` scales item norms by (1+i)^-0.5, so the sweep exits
+/// after a few chunks; otherwise norms stay flat and it sweeps most of
+/// the 469 chunks.
+ServingModel CatalogueScaleModel(bool skewed) {
+  Rng rng(skewed ? 75 : 76);
+  const size_t users = 5, items = 30001, dim = 32;
+  Matrix q = Matrix::RandomNormal(items, dim, 1.0, &rng);
+  if (skewed) {
+    for (size_t i = 0; i < items; ++i) {
+      const double scale = std::pow(1.0 + static_cast<double>(i), -0.5);
+      for (size_t d = 0; d < dim; ++d) q(i, d) *= scale;
+    }
+  }
+  auto model = ServingModel::FromFactors(
+      Matrix::RandomNormal(users, dim, 1.0, &rng), std::move(q),
+      Matrix::RandomNormal(users, 1, 0.5, &rng),
+      Matrix::RandomNormal(items, 1, 0.5, &rng),
+      std::vector<double>(items, 1.0));
+  EXPECT_TRUE(model.ok()) << model.status();
+  return std::move(model).value();
+}
+
+/// Asserts ScoreFresh reproduces BruteForceTopK bit-for-bit (items and raw
 /// double scores) for every user at a spread of K values.
-void ExpectBitIdenticalTopK(const ServingModel& model, TopKMode mode,
-                            size_t sweep_shard_items = 32768) {
-  ScoreCacheConfig config;
-  config.capacity = 0;
-  config.mode = mode;
-  config.sweep_shard_items = sweep_shard_items;
-  TopKScorer scorer(config);
+void ExpectBitIdenticalTopK(const ServingModel& model) {
+  TopKScorer scorer(ScoreCacheConfig{.capacity = 0});
   const size_t n = model.num_items();
   for (size_t user = 0; user < model.num_users(); ++user) {
     for (const size_t k : {size_t{1}, size_t{3}, size_t{10}, n, n + 9}) {
       const auto got = scorer.ScoreFresh(model, user, k);
       const auto want = BruteForceTopK(model, user, k);
-      ASSERT_EQ(got.size(), want.size())
-          << TopKModeName(mode) << " user " << user << " k " << k;
+      ASSERT_EQ(got.size(), want.size()) << "user " << user << " k " << k;
       for (size_t i = 0; i < want.size(); ++i) {
         ASSERT_EQ(got[i].item, want[i].item)
-            << TopKModeName(mode) << " user " << user << " k " << k
-            << " rank " << i;
+            << "user " << user << " k " << k << " rank " << i;
         ASSERT_EQ(got[i].score, want[i].score)  // bit-identical, not NEAR
-            << TopKModeName(mode) << " user " << user << " k " << k
-            << " rank " << i;
+            << "user " << user << " k " << k << " rank " << i;
       }
     }
   }
 }
 
 TEST(SubLinearTopKTest, PrunedIsBitIdenticalAcrossEquivalenceFixtures) {
-  ExpectBitIdenticalTopK(TieHeavyModel(), TopKMode::kPruned);
-  ExpectBitIdenticalTopK(NegativeScoreModel(), TopKMode::kPruned);
-  ExpectBitIdenticalTopK(ZeroNormUserModel(), TopKMode::kPruned);
-  ExpectBitIdenticalTopK(BiasDominatedModel(), TopKMode::kPruned);
+  ExpectBitIdenticalTopK(TieHeavyModel());
+  ExpectBitIdenticalTopK(NegativeScoreModel());
+  ExpectBitIdenticalTopK(ZeroNormUserModel());
+  ExpectBitIdenticalTopK(BiasDominatedModel());
 }
 
 TEST(SubLinearTopKTest, PrunedIsBitIdenticalOnRandomBiasedModels) {
-  ExpectBitIdenticalTopK(RandomModel(40, 157, 12, 7, /*with_bias=*/true),
-                         TopKMode::kPruned);
-  ExpectBitIdenticalTopK(RandomModel(20, 128, 16, 8, /*with_bias=*/false),
-                         TopKMode::kPruned);
-}
-
-TEST(SubLinearTopKTest, ShardedDenseSweepIsBitIdentical) {
-  // Shard far smaller than the catalogue (8 items, and a deliberately
-  // unaligned 9 → rounded down to 8) so many shard boundaries are
-  // crossed; every boundary must land on a BatchedRowDot group boundary.
-  ExpectBitIdenticalTopK(RandomModel(12, 157, 12, 9, /*with_bias=*/true),
-                         TopKMode::kDense, /*sweep_shard_items=*/8);
-  ExpectBitIdenticalTopK(TieHeavyModel(), TopKMode::kDense,
-                         /*sweep_shard_items=*/9);
+  ExpectBitIdenticalTopK(RandomModel(40, 157, 12, 7, /*with_bias=*/true));
+  ExpectBitIdenticalTopK(RandomModel(20, 128, 16, 8, /*with_bias=*/false));
+  ExpectBitIdenticalTopK(CatalogueScaleModel(/*skewed=*/true));
+  ExpectBitIdenticalTopK(CatalogueScaleModel(/*skewed=*/false));
 }
 
 TEST(SubLinearTopKTest, SweepScoreMatchesScoreAllItemsBitForBit) {
-  // The primitive behind both sub-linear paths: per-item re-scoring must
+  // The primitive behind the pruned sweep's tail fix-up: re-scoring must
   // reproduce the dense kernel's accumulation (body-group vs ragged-tail
   // order, fused bias add) exactly, including across the tail boundary.
   for (const size_t items : {size_t{157}, size_t{160}}) {  // tail of 1, 0
@@ -367,75 +373,24 @@ TEST(SubLinearTopKTest, SweepScoreMatchesScoreAllItemsBitForBit) {
   }
 }
 
-TEST(SubLinearTopKTest, QuantizedRecallIsPerfectOnCommittedFixtures) {
-  // The rerank returns exact doubles, so whenever the true top-K survives
-  // the int8 shortlist the slate must equal the oracle's exactly. These
-  // fixtures are the committed synthetic models the bench also pins
-  // recall@K = 1.0 on.
-  const size_t k = 10;
-  ScoreCacheConfig config;
-  config.capacity = 0;
-  config.mode = TopKMode::kQuantized;
-  for (const ServingModel& model :
-       {RandomModel(20, 300, 16, 42), RandomModel(20, 300, 16, 43),
-        NegativeScoreModel(), ZeroNormUserModel(), BiasDominatedModel()}) {
-    TopKScorer scorer(config);
-    for (size_t user = 0; user < model.num_users(); ++user) {
-      const auto got = scorer.ScoreFresh(model, user, k);
-      const auto want = BruteForceTopK(model, user, k);
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(got[i].item, want[i].item) << "user " << user << " rank "
-                                             << i;
-        ASSERT_EQ(got[i].score, want[i].score);
-      }
-    }
-  }
-}
-
 TEST(SubLinearTopKTest, ModesAgreeThroughTheFullTopKPath) {
   // Same slates through TopK() (cache enabled) as through ScoreFresh —
-  // the cache stores whatever the mode computed, tagged by generation.
+  // the cache stores whatever the sweep computed, tagged by generation.
   const ServingModel model = RandomModel(10, 200, 8, 55, /*with_bias=*/true);
-  for (const TopKMode mode : {TopKMode::kPruned, TopKMode::kQuantized}) {
-    ScoreCacheConfig config;
-    config.capacity = 16;
-    config.mode = mode;
-    TopKScorer scorer(config);
-    bool hit = true;
-    const auto cold = scorer.TopK(model, 3, 12, &hit);
-    EXPECT_FALSE(hit);
-    const auto warm = scorer.TopK(model, 3, 12, &hit);
-    EXPECT_TRUE(hit);
-    ASSERT_EQ(cold.size(), warm.size());
-    for (size_t i = 0; i < cold.size(); ++i) {
-      EXPECT_EQ(cold[i].item, warm[i].item);
-      EXPECT_EQ(cold[i].score, warm[i].score);
-    }
+  TopKScorer scorer(ScoreCacheConfig{.capacity = 16});
+  bool hit = true;
+  const auto cold = scorer.TopK(model, 3, 12, &hit);
+  EXPECT_FALSE(hit);
+  const auto warm = scorer.TopK(model, 3, 12, &hit);
+  EXPECT_TRUE(hit);
+  ASSERT_EQ(cold.size(), warm.size());
+  for (size_t i = 0; i < cold.size(); ++i) {
+    EXPECT_EQ(cold[i].item, warm[i].item);
+    EXPECT_EQ(cold[i].score, warm[i].score);
   }
 }
 
 // ------------------------------------------------- hot-path bug fixes
-
-TEST(TopKScorerTest, ScoreScratchShrinksAfterCatalogueShrinks) {
-  // A hot swap from a large to a small catalogue must not strand the big
-  // scratch on the worker thread: capacity policy is "shrink when > 2×
-  // the live need".
-  const ServingModel big = RandomModel(4, 5000, 8, 31);
-  const ServingModel small = RandomModel(4, 64, 8, 32);
-  TopKScorer scorer(ScoreCacheConfig{.capacity = 0});
-  scorer.ScoreFresh(big, 0, 10);
-  EXPECT_GE(TopKScorer::ScratchCapacityForTesting(), 5000u);
-  scorer.ScoreFresh(small, 0, 10);
-  EXPECT_LE(TopKScorer::ScratchCapacityForTesting(), 128u);
-  // And the shrunken scratch still scores correctly.
-  const auto got = scorer.ScoreFresh(small, 1, 5);
-  const auto want = BruteForceTopK(small, 1, 5);
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].item, want[i].item);
-  }
-}
 
 TEST(TopKScorerTest, ZeroKIsNeverACacheHitAndLeavesLruUntouched) {
   const ServingModel model = RandomModel(6, 30, 4, 33);

@@ -12,8 +12,6 @@
 //   k=10              slate size
 //   deadline_ms=50    per-request deadline (0 = degrade everything, -1 = off)
 //   cache=1024        score-cache capacity in users (0 disables)
-//   topk_mode=dense   scoring sweep: dense | pruned | quantized
-//   sweep_shard=32768 item-shard size for the blocked scoring sweeps
 //   swap_mid_run=1    retrain + hot-swap a second checkpoint halfway
 //   epochs=10 dim=16 seed=42   training knobs
 //   ckpt=<path>       checkpoint to load instead of training from scratch
@@ -26,6 +24,9 @@
 //   admit_burst=0     admission token-bucket burst capacity
 //   admit_depth=0     admission queue-depth shed threshold (0 = off)
 //   metrics_format=json   --metrics-out format: json | text | prometheus
+//
+// Any other key, a numeric value that is not one finite number, or a
+// negative count exits 2 before any training, naming the key.
 //
 // flags (telemetry, see src/obs/):
 //   --metrics-out <path>   dump the metrics registry on exit (format per
@@ -42,6 +43,7 @@
 //                          default: shed-rate spike, scorer-breaker
 //                          transition storm, propensity-clip drift
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -78,6 +80,53 @@ using serve::ServerConfig;
 using serve::ServerStats;
 
 using ArgMap = std::map<std::string, std::string>;
+
+/// How a key's value is read: a count (cast to size_t, so it must be
+/// non-negative), any finite real, or free text.
+enum class ArgKind { kCount, kReal, kText };
+
+const std::map<std::string, ArgKind>& KnownArgs() {
+  static const std::map<std::string, ArgKind> known = {
+      {"requests", ArgKind::kCount},     {"threads", ArgKind::kCount},
+      {"k", ArgKind::kCount},            {"deadline_ms", ArgKind::kReal},
+      {"cache", ArgKind::kCount},        {"swap_mid_run", ArgKind::kCount},
+      {"epochs", ArgKind::kCount},       {"dim", ArgKind::kCount},
+      {"seed", ArgKind::kCount},         {"ckpt", ArgKind::kText},
+      {"stats_every_s", ArgKind::kReal}, {"max_queue", ArgKind::kCount},
+      {"admit_rate", ArgKind::kReal},    {"admit_burst", ArgKind::kReal},
+      {"admit_depth", ArgKind::kCount},  {"metrics_format", ArgKind::kText},
+  };
+  return known;
+}
+
+/// Checks every key=value before any work, so a typo or a value the tool
+/// would misread fails loudly instead of running with a default (or
+/// casting a negative double to size_t). Prints the offending key.
+bool ValidateArgs(const ArgMap& args) {
+  for (const auto& [key, value] : args) {
+    const auto known = KnownArgs().find(key);
+    if (known == KnownArgs().end()) {
+      std::fprintf(stderr, "error: unknown key '%s'\n", key.c_str());
+      return false;
+    }
+    if (known->second == ArgKind::kText) continue;
+    char* end = nullptr;
+    const double v = std::strtod(value.c_str(), &end);
+    if (value.empty() || *end != '\0' || !std::isfinite(v)) {
+      std::fprintf(stderr, "error: %s=%s is not a finite number\n",
+                   key.c_str(), value.c_str());
+      return false;
+    }
+    // Casting a negative or too-large double to size_t is undefined; up to
+    // 2^53 every accepted count is also exact.
+    if (known->second == ArgKind::kCount && !(v >= 0.0 && v <= 0x1p53)) {
+      std::fprintf(stderr, "error: %s=%s must be a non-negative count\n",
+                   key.c_str(), value.c_str());
+      return false;
+    }
+  }
+  return true;
+}
 
 double GetNum(const ArgMap& args, const std::string& key, double fallback) {
   auto it = args.find(key);
@@ -165,6 +214,7 @@ int Main(int argc, char** argv) {
     return 2;
   }
   args.erase("metrics_format");
+  if (!ValidateArgs(args)) return 2;
 
   const size_t requests = static_cast<size_t>(GetNum(args, "requests", 2000));
   const size_t threads = static_cast<size_t>(GetNum(args, "threads", 4));
@@ -218,19 +268,6 @@ int Main(int argc, char** argv) {
   server_config.default_k = k;
   server_config.default_deadline_ms = deadline_ms;
   server_config.cache.capacity = cache;
-  if (args.count("topk_mode") &&
-      !serve::ParseTopKMode(args.at("topk_mode"),
-                            &server_config.cache.mode)) {
-    std::fprintf(stderr,
-                 "error: topk_mode must be dense, pruned or quantized "
-                 "(got \"%s\")\n",
-                 args.at("topk_mode").c_str());
-    return 2;
-  }
-  if (args.count("sweep_shard")) {
-    server_config.cache.sweep_shard_items =
-        static_cast<size_t>(GetNum(args, "sweep_shard", 32768));
-  }
   server_config.stats_dump_period_s = GetNum(args, "stats_every_s", 0.0);
   // Overload-resilience knobs (all default off — an unconfigured run
   // admits everything): bounded worker queue, token-bucket admission
@@ -276,9 +313,8 @@ int Main(int argc, char** argv) {
   }
 
   std::printf("serving %zu requests on %zu threads (k=%zu, deadline=%gms, "
-              "cache=%zu users, topk=%s)...\n",
-              requests, threads, k, deadline_ms, cache,
-              serve::TopKModeName(server_config.cache.mode));
+              "cache=%zu users)...\n",
+              requests, threads, k, deadline_ms, cache);
   Rng traffic_rng(seed + 1);
   const Stopwatch serve_watch;
   std::vector<std::future<Recommendation>> futures;
