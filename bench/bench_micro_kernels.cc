@@ -61,7 +61,8 @@ double TimeNs(const std::function<void()>& fn, double target_seconds) {
 }
 
 struct SweepShape {
-  const char* kernel;  // "gemm", "gemm_trans_a", "gemm_trans_b", "row_dot"
+  // "gemm", "gemm_trans_a", "gemm_trans_b", "row_dot", "row_dot_i8"
+  const char* kernel;
   size_t m, k, n;
 };
 
@@ -73,6 +74,9 @@ std::vector<bench::KernelBenchResult> RunKernelSweep(bool smoke) {
       {"gemm", 256, 64, 256},  // the headline shape (ISSUE acceptance)
       {"gemm", 64, 64, 64},
       {"row_dot", 1682, 32, 1},  // serving: items × one user vector
+      // The top-K sweep's int8 bound pass: the benchmark catalogue's codes
+      // against one quantized user (integer ops counted as flops).
+      {"row_dot_i8", 30000, 32, 1},
   };
   if (!smoke) {
     shapes.push_back({"gemm", 128, 128, 128});
@@ -93,6 +97,8 @@ std::vector<bench::KernelBenchResult> RunKernelSweep(bool smoke) {
     Matrix a, b;
     Matrix c(s.m, std::max<size_t>(s.n, 1));
     std::vector<double> y(s.m);
+    // row_dot_i8: m rows of codes; row 0 doubles as the user's codes.
+    std::vector<int8_t> codes(kernel == "row_dot_i8" ? s.m * s.k : 0);
     if (kernel == "gemm") {
       a = Matrix::RandomNormal(s.m, s.k, 1.0, &rng);
       b = Matrix::RandomNormal(s.k, s.n, 1.0, &rng);
@@ -131,6 +137,19 @@ std::vector<bench::KernelBenchResult> RunKernelSweep(bool smoke) {
         kernels::naive::GemmTransB(s.m, s.n, s.k, a.data(), s.k, b.data(),
                                    s.k, c.data(), s.n);
         benchmark::DoNotOptimize(c.data());
+      };
+    } else if (kernel == "row_dot_i8") {
+      flops = 2.0 * s.m * s.k;
+      for (int8_t& v : codes) v = static_cast<int8_t>(rng.UniformIndex(256));
+      blocked = [&, s] {
+        kernels::QuantizedRowDot(s.m, s.k, codes.data(), s.k,
+                                 codes.data(), y.data());
+        benchmark::DoNotOptimize(y.data());
+      };
+      naive = [&, s] {
+        kernels::naive::QuantizedRowDot(s.m, s.k, codes.data(), s.k,
+                                        codes.data(), y.data());
+        benchmark::DoNotOptimize(y.data());
       };
     } else {  // row_dot: m rows of length k against one broadcast vector
       a = Matrix::RandomNormal(s.m, s.k, 1.0, &rng);

@@ -81,12 +81,11 @@ Status ApplyOverride(const std::string& key, const std::string& value,
   if (profile == nullptr) {
     return Status::InvalidArgument("profile must not be null");
   }
-  char* end = nullptr;
-  const double num = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument("override value is not numeric: " +
-                                   value);
-  }
+  const bool real = key == "lr" || key == "scale" ||
+                    key == "positive_threshold";
+  DTREC_RETURN_IF_ERROR(
+      CheckArg(key, value, real ? ArgKind::kReal : ArgKind::kCount));
+  const double num = std::strtod(value.c_str(), nullptr);
   if (key == "epochs") {
     profile->train.epochs = static_cast<size_t>(num);
   } else if (key == "batch_size") {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -22,11 +23,74 @@ std::vector<uint32_t> RankByPopularity(const std::vector<double>& pop) {
   return ranking;
 }
 
-/// ‖row‖₂ of a length-d row.
-double RowNorm(const double* row, size_t d) {
-  double sq = 0.0;
-  for (size_t p = 0; p < d; ++p) sq += row[p] * row[p];
-  return std::sqrt(sq);
+/// Smallest nonzero max|x| the quantizer codes. From there up, every
+/// square, scale product and norm the sweep's bounds use is a normal
+/// double, so their rounding is relative and kBoundSlack covers it.
+constexpr double kMinCodedMax = 0x1p-500;
+/// Adding and subtracting 1.5·2^52 rounds |x| < 2^51 to the nearest
+/// integer (ties to even) without a branch or a library call.
+constexpr double kRoundMagic = 0x1.8p52;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// First quantizer pass over a row: max|x| and ‖x‖ (four partial sums,
+/// so the adds pipeline). `norm` is +∞ for a row the quantizer does not
+/// code: a NaN or ±Inf entry, or an overflowing square, makes the sum of
+/// squares non-finite (max_abs alone would skip a NaN), and a nonzero
+/// max|x| below kMinCodedMax is too small.
+struct RowMagnitude {
+  double max_abs = 0.0;
+  double norm = 0.0;
+};
+
+RowMagnitude Magnitude(const double* row, size_t d) {
+  double max_abs = 0.0;
+  double sq[4] = {0.0, 0.0, 0.0, 0.0};
+  size_t p = 0;
+  for (; p + 4 <= d; p += 4) {
+    for (size_t l = 0; l < 4; ++l) {
+      sq[l] += row[p + l] * row[p + l];
+      max_abs = std::max(max_abs, std::abs(row[p + l]));
+    }
+  }
+  for (; p < d; ++p) {
+    sq[0] += row[p] * row[p];
+    max_abs = std::max(max_abs, std::abs(row[p]));
+  }
+  const double sum_sq = (sq[0] + sq[1]) + (sq[2] + sq[3]);
+  if (!std::isfinite(sum_sq) || (max_abs > 0.0 && max_abs < kMinCodedMax)) {
+    return {max_abs, kInf};
+  }
+  return {max_abs, std::sqrt(sum_sq)};
+}
+
+/// Second pass: writes the row's codes and returns its RowCode. Codes are
+/// in [−127, 127] by construction, and only finite, in-range doubles are
+/// ever converted to an integer.
+ServingModel::RowCode Encode(const double* row, size_t d, RowMagnitude mag,
+                             int8_t* codes) {
+  if (mag.norm == kInf) {
+    std::fill(codes, codes + d, int8_t{0});
+    return {.scale = 0.0, .norm = mag.norm, .code_norm = 0.0,
+            .residual = mag.norm};
+  }
+  const double scale = mag.max_abs / 127.0;
+  const double inv = mag.max_abs > 0.0 ? 127.0 / mag.max_abs : 0.0;
+  double code_sq = 0.0;
+  double err_sq = 0.0;
+  for (size_t p = 0; p < d; ++p) {
+    // |x| ≤ 127·(1 + 2^-52), so c is an integer in [−127, 127], and x − c
+    // is exact. The residual is measured in units of `scale`, which keeps
+    // its squares clear of underflow.
+    const double x = row[p] * inv;
+    const double c = (x + kRoundMagic) - kRoundMagic;
+    codes[p] = static_cast<int8_t>(c);
+    code_sq += c * c;
+    err_sq += (x - c) * (x - c);
+  }
+  return {.scale = scale,
+          .norm = mag.norm,
+          .code_norm = scale * std::sqrt(code_sq),
+          .residual = scale * std::sqrt(err_sq)};
 }
 
 }  // namespace
@@ -160,34 +224,11 @@ double ServingModel::SweepScore(size_t user, size_t item) const {
   return dot;
 }
 
-void ServingModel::ScoreNormOrderedRange(size_t user, size_t begin,
-                                         size_t count, double* out) const {
-  DTREC_DCHECK(user < num_users() && begin % 4 == 0 &&
-               begin <= num_items());
-  count = std::min(count, num_items() - begin);
-  if (count == 0) return;
-  const size_t d = dim();
-  const double* pu = user_factors_.row(user);
-  // The permuted table is padded to a multiple of 4 rows, so rounding the
-  // window up keeps every real item in a body lane of BatchedRowDot —
-  // the same lane arithmetic ScoreAllItems gives body items. Pad lanes
-  // score the zero row and are simply not emitted.
-  const size_t padded = (count + 3) & ~size_t{3};
-  kernels::BatchedRowDot(padded, d, norm_sorted_factors_.row(begin), d, pu,
-                         0, out);
-  const double ub = user_bias_or_zero(user);
-  for (size_t t = 0; t < count; ++t) {
-    const uint32_t item = norm_order_[begin + t];
-    if (item >= sweep_tail_begin_) {
-      // ScoreAllItems scores this item in tail order; re-run it down
-      // that path.
-      out[t] = SweepScore(user, item);
-    } else if (!item_bias_.empty()) {
-      out[t] += ub + item_bias_(item, 0);
-    } else if (ub != 0.0) {
-      out[t] += ub;
-    }
-  }
+ServingModel::RowCode ServingModel::QuantizeUser(size_t user,
+                                                 int8_t* codes) const {
+  DTREC_DCHECK(user < num_users());
+  const double* row = user_factors_.row(user);
+  return Encode(row, dim(), Magnitude(row, dim()), codes);
 }
 
 void ServingModel::BuildSweepIndex() {
@@ -195,43 +236,54 @@ void ServingModel::BuildSweepIndex() {
   const size_t d = dim();
   sweep_tail_begin_ = n - n % 4;
 
-  user_norms_.resize(num_users());
-  for (size_t u = 0; u < num_users(); ++u) {
-    user_norms_[u] = RowNorm(user_factors_.row(u), d);
-  }
-  item_norms_.resize(n);
+  // The quantizer's first pass gives the sort key; the second writes the
+  // codes once the sweep order is known, straight into their position.
+  std::vector<RowMagnitude> magnitudes(n);
+  std::vector<std::pair<double, uint32_t>> keyed(n);
   for (size_t i = 0; i < n; ++i) {
-    item_norms_[i] = RowNorm(item_factors_.row(i), d);
+    magnitudes[i] = Magnitude(item_factors_.row(i), d);
+    keyed[i] = {magnitudes[i].norm, static_cast<uint32_t>(i)};
+  }
+  // ‖q‖ descending, ties by id: a total order, so the sweep (and the
+  // slates' tie-breaks) are deterministic.
+  std::sort(keyed.begin(), keyed.end(),
+            [](const std::pair<double, uint32_t>& a,
+               const std::pair<double, uint32_t>& b) {
+              if (a.first != b.first) return a.first > b.first;
+              return a.second < b.second;
+            });
+
+  SweepIndex& index = sweep_;
+  index.items.resize(n);
+  index.norms.resize(n);
+  index.codes.resize(n * d);
+  index.scales.resize(n);
+  index.residuals.resize(n);
+  for (size_t j = 0; j < n; ++j) {
+    const uint32_t item = keyed[j].second;
+    const RowCode code = Encode(item_factors_.row(item), d, magnitudes[item],
+                                index.codes.data() + j * d);
+    index.items[j] = item;
+    index.norms[j] = code.norm;
+    index.scales[j] = code.scale;
+    index.residuals[j] = code.residual;
   }
 
-  // Sweep order for norm-bound pruning: ‖q‖ descending, ties by id so the
-  // order (and therefore the pruned sweep) is deterministic.
-  norm_order_.resize(n);
-  std::iota(norm_order_.begin(), norm_order_.end(), 0u);
-  std::stable_sort(norm_order_.begin(), norm_order_.end(),
-                   [this](uint32_t a, uint32_t b) {
-                     if (item_norms_[a] != item_norms_[b]) {
-                       return item_norms_[a] > item_norms_[b];
-                     }
-                     return a < b;
-                   });
   // Suffix max of item bias over the sweep order: position j bounds the
   // bias of every item the sweep has not reached yet.
-  norm_order_bias_max_.resize(n);
+  index.bias_max.resize(n);
   double running = 0.0;
   for (size_t j = n; j-- > 0;) {
-    const double bi = item_bias_or_zero(norm_order_[j]);
+    const double bi = item_bias_or_zero(index.items[j]);
     running = (j + 1 == n) ? bi : std::max(running, bi);
-    norm_order_bias_max_[j] = running;
+    index.bias_max[j] = running;
   }
-
-  // Contiguous, group-aligned copy of the factors in sweep order (padded
-  // with zero rows to a multiple of 4) so ScoreNormOrderedRange can hand
-  // whole chunks to BatchedRowDot instead of gathering scattered rows.
-  norm_sorted_factors_ = Matrix((n + 3) & ~size_t{3}, d);
-  for (size_t j = 0; j < n; ++j) {
-    const double* src = item_factors_.row(norm_order_[j]);
-    std::copy(src, src + d, norm_sorted_factors_.row(j));
+  index.bias.clear();
+  if (!item_bias_.empty()) {
+    index.bias.resize(n);
+    for (size_t j = 0; j < n; ++j) {
+      index.bias[j] = item_bias_(index.items[j], 0);
+    }
   }
 }
 

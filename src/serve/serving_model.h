@@ -82,40 +82,48 @@ class ServingModel {
   /// 4-row group for body items, the 1-row tail path for ragged-tail
   /// items — so the accumulation order (and the compiler's codegen for
   /// it) is ScoreAllItems' by construction, then mirrors the fused
-  /// bias add. Primitive behind the pruned sweep's tail fix-up; costs one
-  /// 4-row group dot per call.
+  /// bias add. The pruned sweep rescores every item its int8 bound filter
+  /// keeps through this; costs one 4-row group dot per call.
   double SweepScore(size_t user, size_t item) const;
 
-  /// Scores the norm_order() window [begin, begin+count) into
-  /// `out[0..count)`, each value bit-identical to what ScoreAllItems
-  /// produces for that item. `begin` must be a multiple of 4; `count` is
-  /// clipped to the catalogue. `out` must have room for count rounded up
-  /// to a multiple of 4 (pad lanes are scratch, not results). Internally
-  /// sweeps a norm-permuted, 4-row-padded copy of the item factors so the
-  /// window is contiguous for BatchedRowDot, then re-scores the (≤3) items
-  /// that live in ScoreAllItems' ragged tail via SweepScore. The pruned
-  /// top-K sweep's chunk primitive.
-  void ScoreNormOrderedRange(size_t user, size_t begin, size_t count,
-                             double* out) const;
+  /// Symmetric int8 code of one factor row x ≈ scale·codes, with the
+  /// norms the sweep's bounds need. A row with a NaN or ±Inf entry, a sum
+  /// of squares that overflows, or a nonzero max|x| below 2^-500 is not
+  /// coded: its codes are zero, `scale` and `code_norm` are 0, and `norm`
+  /// and `residual` are +∞, so every bound that uses it is +∞ or NaN and
+  /// never excludes an item.
+  struct RowCode {
+    double scale = 0.0;      ///< s = max|x| / 127
+    double norm = 0.0;       ///< ‖x‖
+    double code_norm = 0.0;  ///< ‖s·c‖
+    double residual = 0.0;   ///< ‖x − s·c‖
+  };
 
-  // --- norm-bound pruning support (precomputed at build time) -----------
+  /// Quantizes the user's factor row into `codes` (dim() entries): the
+  /// per-request half of the sweep's int8 bound filter.
+  RowCode QuantizeUser(size_t user, int8_t* codes) const;
 
-  double user_norm(size_t user) const { return user_norms_[user]; }
-  double item_norm(size_t item) const { return item_norms_[item]; }
+  /// Per-item tables of the pruned top-K sweep, every vector in sweep
+  /// order: ‖q_i‖ descending, ties by id ascending, with uncoded rows
+  /// (norm +∞) first. Built once per model; DESIGN.md §5j has the bound.
+  struct SweepIndex {
+    std::vector<uint32_t> items;   ///< item id at each position
+    std::vector<double> norms;     ///< ‖q_i‖
+    /// Suffix maximum of item bias: bias_max[j] = max over positions ≥ j
+    /// of bi. With ‖p_u‖·norms[j] it bounds every score from j on.
+    std::vector<double> bias_max;
+    std::vector<double> bias;      ///< bi; empty when the model has none
+    std::vector<int8_t> codes;     ///< |I|×dim() int8 codes c_i
+    std::vector<double> scales;    ///< s_i
+    std::vector<double> residuals; ///< r_i = ‖q_i − s_i·c_i‖
+  };
+  const SweepIndex& sweep_index() const { return sweep_; }
+
   double user_bias_or_zero(size_t user) const {
     return user_bias_.empty() ? 0.0 : user_bias_(user, 0);
   }
   double item_bias_or_zero(size_t item) const {
     return item_bias_.empty() ? 0.0 : item_bias_(item, 0);
-  }
-  /// Item ids sorted by ‖q_i‖ descending (ties by id ascending): the sweep
-  /// order for norm-bound pruning.
-  const std::vector<uint32_t>& norm_order() const { return norm_order_; }
-  /// Suffix maximum of item bias over norm_order(): norm_order_bias_max()[j]
-  /// = max over positions ≥ j of bi. Together with ‖p_u‖·‖q‖ it gives an
-  /// admissible upper bound on every score still ahead of the sweep.
-  const std::vector<double>& norm_order_bias_max() const {
-    return norm_order_bias_max_;
   }
 
   /// Items sorted by popularity descending (ties by id ascending): the
@@ -133,8 +141,8 @@ class ServingModel {
     generation_tail_ = generation;
   }
 
-  /// Fills every sweep-support table (norms, norm order, bias suffix max,
-  /// norm-permuted factors). Called once at the end of FromFactors.
+  /// Fills sweep_ (order, norms, bias tables, int8 codes). Called once at
+  /// the end of FromFactors.
   void BuildSweepIndex();
 
   uint64_t generation_head_ = 0;
@@ -144,17 +152,8 @@ class ServingModel {
   Matrix item_bias_;     // |I|×1 or empty
   std::vector<double> item_popularity_;    // |I|
   std::vector<uint32_t> popularity_ranking_;  // |I|, popularity desc
-  // Pruned-sweep tables (BuildSweepIndex).
-  size_t sweep_tail_begin_ = 0;               // first ragged-tail item
-  std::vector<double> user_norms_;            // |U|, ‖p_u‖
-  std::vector<double> item_norms_;            // |I|, ‖q_i‖
-  std::vector<uint32_t> norm_order_;          // |I|, ‖q‖ desc
-  std::vector<double> norm_order_bias_max_;   // |I|, suffix max of bi
-  // Item factors permuted into norm_order_ and zero-padded to a multiple
-  // of 4 rows: lets the pruned sweep feed contiguous, group-aligned
-  // chunks straight to BatchedRowDot (doubles the fp item storage — a
-  // deliberate serving-index trade, see DESIGN.md §5j).
-  Matrix norm_sorted_factors_;
+  size_t sweep_tail_begin_ = 0;  // first item in BatchedRowDot's ragged tail
+  SweepIndex sweep_;
   uint64_t generation_tail_ = 0;
 };
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
+#include "tensor/kernels.h"
 #include "util/failpoint.h"
 
 namespace dtrec::serve {
@@ -49,17 +51,22 @@ class BoundedTopK {
   std::vector<ScoredItem> slate_;
 };
 
-/// Relative slack on the pruning bound: the bound is computed in a
-/// different floating-point order than the scores it dominates, so a few
-/// ulps of margin keep the early exit admissible despite rounding.
+/// Relative slack on every pruning bound, scaled by the magnitudes that
+/// set the rounding error (‖p‖·‖q_head‖, |bu|, |bi|): the bounds and the
+/// scores they dominate are computed in different floating-point orders,
+/// and the int8 bound also stands in for real-arithmetic identities. The
+/// error it covers is under (2d + 20)·2^-53 of those magnitudes, so 1e-9
+/// keeps both tests admissible for any dimension below ~4·10^6
+/// (DESIGN.md §5j).
 constexpr double kBoundSlack = 1e-9;
 
-/// Items the sweep scores per bound check. A multiple of 4 (every chunk
-/// stays group-aligned in the permuted table); small enough that a
-/// satisfied bound exits after little wasted work, large enough that
-/// BatchedRowDot runs at full blocked throughput, and small enough that
-/// the chunk's scores live on the stack.
+/// Items per chunk: one chunk-head bound check and one QuantizedRowDot
+/// call each. Small enough that a satisfied head bound exits after little
+/// wasted work and the chunk's dots and bounds live on the stack; a
+/// multiple of 4, so every call runs the kernel's 4-row body.
 constexpr size_t kPrunedChunkItems = 64;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -102,35 +109,62 @@ std::vector<ScoredItem> TopKScorer::ScoreFresh(const ServingModel& model,
   DTREC_FAILPOINT("serve/score");
   k = std::min(k, model.num_items());
   if (k == 0) return {};
-  // Norm-bound pruned sweep. Items are visited in ‖q_i‖-descending order;
-  // by Cauchy–Schwarz every score still ahead of position j is bounded by
-  // ‖p_u‖·‖q_order[j]‖ + bu_u + max-suffix-bias[j]. Each chunk is scored
-  // through BatchedRowDot (bit-identical per item to ScoreAllItems),
-  // every score is offered to the heap, and between chunks the bound at
-  // the chunk head is tested: once it (plus FP slack) drops strictly below
-  // the heap root, no remaining item can displace it. Checking per chunk
-  // instead of per item only delays the exit by < one chunk of work. The
-  // exit must be strict: a remaining item whose bound equals the root
-  // could still tie it with a lower id and rank better.
-  const std::vector<uint32_t>& order = model.norm_order();
-  const std::vector<double>& bias_max = model.norm_order_bias_max();
-  const double pu_norm = model.user_norm(user);
+  // Norm-bound pruned sweep with an int8 bound filter. Items are visited
+  // in ‖q_i‖-descending order, 64 at a time. Before each chunk, the
+  // Cauchy–Schwarz bound ‖p_u‖·‖q_head‖ + bu_u + max-suffix-bias bounds
+  // every score still ahead: once it (plus slack) drops strictly below the
+  // heap root, no remaining item can displace it. Inside a chunk, with
+  // p̂ = s_p·c_p and q̂_i = s_i·c_i the int8 codes,
+  //   p·q_i ≤ s_p·s_i·(c_p·c_i) + ‖p̂‖·‖q_i − q̂_i‖ + ‖p − p̂‖·‖q_head‖
+  // for any codes, and only items whose bound (plus biases and slack) is
+  // not strictly below the root are rescored in fp64 through SweepScore,
+  // bit-identical to ScoreAllItems. A skipped item's score is strictly
+  // below the root, so Offer would have rejected it: the slate is exactly
+  // the one scoring every item gives. Comparisons are strict because an
+  // item scoring equal to the root could still win its tie on id, and a
+  // NaN bound (an uncoded row or user) compares false, so the item stays.
+  const ServingModel::SweepIndex& index = model.sweep_index();
+  const size_t n = index.items.size();
+  const size_t d = model.dim();
+  std::vector<int8_t> user_codes(d);
+  const ServingModel::RowCode pu = model.QuantizeUser(user, user_codes.data());
   const double ub = model.user_bias_or_zero(user);
-  const size_t n = order.size();
-  double scores[kPrunedChunkItems] = {};
+  const double ub_with_slack = ub + kBoundSlack * std::abs(ub);
+  double dots[kPrunedChunkItems];
+  double bounds[kPrunedChunkItems];
   BoundedTopK heap(k);
   for (size_t j = 0; j < n; j += kPrunedChunkItems) {
+    const double pq = pu.norm * index.norms[j];
     if (heap.full()) {
-      const double pq = pu_norm * model.item_norm(order[j]);
-      const double bound = pq + (ub + bias_max[j]);
+      const double bound = pq + (ub + index.bias_max[j]);
       const double slack = kBoundSlack * (std::abs(pq) + std::abs(ub) +
-                                          std::abs(bias_max[j]));
+                                          std::abs(index.bias_max[j]));
       if (bound + slack < heap.worst().score) break;
     }
     const size_t count = std::min(kPrunedChunkItems, n - j);
-    model.ScoreNormOrderedRange(user, j, count, scores);
+    kernels::QuantizedRowDot(count, d, index.codes.data() + j * d, d,
+                             user_codes.data(), dots);
+    // Terms shared by the chunk: the user-side error bound, the user bias
+    // and their slack.
+    const double shared = pu.residual * index.norms[j] +
+                          kBoundSlack * std::abs(pq) + ub_with_slack;
     for (size_t t = 0; t < count; ++t) {
-      heap.Offer({order[j + t], scores[t]});
+      bounds[t] = pu.scale * index.scales[j + t] * dots[t] +
+                  pu.code_norm * index.residuals[j + t] + shared;
+    }
+    if (!index.bias.empty()) {
+      for (size_t t = 0; t < count; ++t) {
+        const double bi = index.bias[j + t];
+        bounds[t] += bi + kBoundSlack * std::abs(bi);
+      }
+    }
+    // -∞ while the heap fills, so every item is kept until it is full.
+    double root = heap.full() ? heap.worst().score : -kInf;
+    for (size_t t = 0; t < count; ++t) {
+      if (bounds[t] < root) continue;
+      const uint32_t item = index.items[j + t];
+      heap.Offer({item, model.SweepScore(user, item)});
+      if (heap.full()) root = heap.worst().score;
     }
   }
   return std::move(heap).Sorted();

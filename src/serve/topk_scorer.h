@@ -27,12 +27,15 @@ struct ScoreCacheConfig {
 /// Scores a user against the catalogue and keeps the top K.
 ///
 /// One exact sweep: items are visited in ‖q_i‖-descending order, 64 at a
-/// time through the blocked dot-product kernel, into a bounded min-heap;
-/// the sweep stops once the Cauchy–Schwarz bound on every item not yet
-/// visited falls below the heap root. Worst case (flat norms) is the full
-/// O(|I|·d + |I|·log K) pass; no full argsort and no heap-allocated score
-/// buffer. Slates are bit-identical to BruteForceTopK; DESIGN.md §5j has
-/// the math.
+/// time, into a bounded min-heap; the sweep stops once the Cauchy–Schwarz
+/// bound on every item not yet visited falls below the heap root. Inside
+/// a chunk an int8 dot (kernels::QuantizedRowDot over the model's
+/// SweepIndex codes) gives each item an admissible score bound, and only
+/// items whose bound reaches the heap root are rescored in fp64. Worst
+/// case (flat norms) is one int8 pass over the catalogue, |I|·(d+16)
+/// bytes, plus the fp64 rescoring of the survivors; no full argsort and
+/// no heap-allocated score buffer. Slates are bit-identical to
+/// BruteForceTopK; DESIGN.md §5j has the math.
 ///
 /// Ordering is deterministic: score descending, ties broken by item id
 /// ascending (so results are reproducible and testable against a
@@ -64,8 +67,8 @@ class TopKScorer {
   bool CachedSlate(uint64_t generation, size_t user, size_t k,
                    std::vector<ScoredItem>* out);
 
-  /// Scoring stage: the norm-bound pruned sweep above, no cache
-  /// interaction. Failpoint site `serve/score` fires at entry (an
+  /// Scoring stage: the pruned sweep above, no cache interaction.
+  /// Failpoint site `serve/score` fires at entry (an
   /// armed `abort` spec throws failpoint::FailpointAbort — the injected
   /// "scorer dependency failed" fault the serving ladder degrades on).
   std::vector<ScoredItem> ScoreFresh(const ServingModel& model, size_t user,

@@ -1,6 +1,7 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -162,6 +163,123 @@ inline void MicroKernel(size_t kc, const double* DTREC_RESTRICT pa,
 
 #endif
 
+/// Codes per pass of the int8 row-dot. One vpmaddwd step adds at most
+/// 2·128² = 2^15 to an int32 lane, and a lane takes one step per 8 (SSE2)
+/// or 16 (AVX2) codes, so over a block of 2^16 codes every lane, and the
+/// sum of one row's lanes, stays below 2^30. Blocks are folded into a
+/// double, which holds the running integer exactly.
+constexpr size_t kQuantizedBlock = size_t{1} << 16;
+
+/// Scalar int8 dot of one row over k ≤ kQuantizedBlock codes; the sum is
+/// at most 2^30 in magnitude.
+inline int32_t QuantizedDot1(size_t k, const int8_t* DTREC_RESTRICT a,
+                             const int8_t* DTREC_RESTRICT b) {
+  int32_t s = 0;
+  for (size_t p = 0; p < k; ++p) {
+    s += static_cast<int32_t>(a[p]) * static_cast<int32_t>(b[p]);
+  }
+  return s;
+}
+
+// QuantizedDot4 adds the int8 dots of four rows (stride lda) with b, over
+// k ≤ kQuantizedBlock codes, to y[0..4). The SIMD variants share each
+// widened b vector across the four rows and reduce the four accumulators
+// in one horizontal pass. All three return the exact integer sums.
+#if defined(DTREC_KERNEL_AVX2)
+
+inline __m256i Widen16(const int8_t* p) {
+  return _mm256_cvtepi8_epi16(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
+inline void QuantizedDot4(size_t k, const int8_t* DTREC_RESTRICT a,
+                          size_t lda, const int8_t* DTREC_RESTRICT b,
+                          double* DTREC_RESTRICT y) {
+  const int8_t* a0 = a;
+  const int8_t* a1 = a0 + lda;
+  const int8_t* a2 = a1 + lda;
+  const int8_t* a3 = a2 + lda;
+  __m256i c0 = _mm256_setzero_si256(), c1 = _mm256_setzero_si256();
+  __m256i c2 = _mm256_setzero_si256(), c3 = _mm256_setzero_si256();
+  size_t p = 0;
+  for (; p + 16 <= k; p += 16) {
+    const __m256i bv = Widen16(b + p);
+    c0 = _mm256_add_epi32(c0, _mm256_madd_epi16(Widen16(a0 + p), bv));
+    c1 = _mm256_add_epi32(c1, _mm256_madd_epi16(Widen16(a1 + p), bv));
+    c2 = _mm256_add_epi32(c2, _mm256_madd_epi16(Widen16(a2 + p), bv));
+    c3 = _mm256_add_epi32(c3, _mm256_madd_epi16(Widen16(a3 + p), bv));
+  }
+  // [Σc0, Σc1, Σc2, Σc3] in each 128-bit half, then the halves added.
+  const __m256i h = _mm256_hadd_epi32(_mm256_hadd_epi32(c0, c1),
+                                      _mm256_hadd_epi32(c2, c3));
+  __m128i sum = _mm_add_epi32(_mm256_castsi256_si128(h),
+                              _mm256_extracti128_si256(h, 1));
+  if (p < k) {
+    sum = _mm_add_epi32(
+        sum, _mm_setr_epi32(QuantizedDot1(k - p, a0 + p, b + p),
+                            QuantizedDot1(k - p, a1 + p, b + p),
+                            QuantizedDot1(k - p, a2 + p, b + p),
+                            QuantizedDot1(k - p, a3 + p, b + p)));
+  }
+  _mm256_storeu_pd(y, _mm256_add_pd(_mm256_loadu_pd(y),
+                                    _mm256_cvtepi32_pd(sum)));
+}
+
+#elif defined(DTREC_KERNEL_SSE2)
+
+/// Sign-extends 8 int8 codes to int16 lanes: duplicate each byte into
+/// both halves of a word, then arithmetic-shift the high copy down.
+inline __m128i Widen8(const int8_t* p) {
+  const __m128i v = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+  return _mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8);
+}
+
+inline void QuantizedDot4(size_t k, const int8_t* DTREC_RESTRICT a,
+                          size_t lda, const int8_t* DTREC_RESTRICT b,
+                          double* DTREC_RESTRICT y) {
+  const int8_t* a0 = a;
+  const int8_t* a1 = a0 + lda;
+  const int8_t* a2 = a1 + lda;
+  const int8_t* a3 = a2 + lda;
+  __m128i c0 = _mm_setzero_si128(), c1 = _mm_setzero_si128();
+  __m128i c2 = _mm_setzero_si128(), c3 = _mm_setzero_si128();
+  size_t p = 0;
+  for (; p + 8 <= k; p += 8) {
+    const __m128i bv = Widen8(b + p);
+    c0 = _mm_add_epi32(c0, _mm_madd_epi16(Widen8(a0 + p), bv));
+    c1 = _mm_add_epi32(c1, _mm_madd_epi16(Widen8(a1 + p), bv));
+    c2 = _mm_add_epi32(c2, _mm_madd_epi16(Widen8(a2 + p), bv));
+    c3 = _mm_add_epi32(c3, _mm_madd_epi16(Widen8(a3 + p), bv));
+  }
+  // 4×4 transpose-add: lane r of `sum` is the sum of cr's four lanes.
+  const __m128i t01 = _mm_add_epi32(_mm_unpacklo_epi32(c0, c1),
+                                    _mm_unpackhi_epi32(c0, c1));
+  const __m128i t23 = _mm_add_epi32(_mm_unpacklo_epi32(c2, c3),
+                                    _mm_unpackhi_epi32(c2, c3));
+  __m128i sum = _mm_add_epi32(_mm_unpacklo_epi64(t01, t23),
+                              _mm_unpackhi_epi64(t01, t23));
+  if (p < k) {
+    sum = _mm_add_epi32(
+        sum, _mm_setr_epi32(QuantizedDot1(k - p, a0 + p, b + p),
+                            QuantizedDot1(k - p, a1 + p, b + p),
+                            QuantizedDot1(k - p, a2 + p, b + p),
+                            QuantizedDot1(k - p, a3 + p, b + p)));
+  }
+  _mm_storeu_pd(y, _mm_add_pd(_mm_loadu_pd(y), _mm_cvtepi32_pd(sum)));
+  _mm_storeu_pd(y + 2, _mm_add_pd(_mm_loadu_pd(y + 2),
+                                  _mm_cvtepi32_pd(_mm_srli_si128(sum, 8))));
+}
+
+#else  // portable scalar fallback
+
+inline void QuantizedDot4(size_t k, const int8_t* DTREC_RESTRICT a,
+                          size_t lda, const int8_t* DTREC_RESTRICT b,
+                          double* DTREC_RESTRICT y) {
+  for (size_t r = 0; r < 4; ++r) y[r] += QuantizedDot1(k, a + r * lda, b);
+}
+
+#endif
+
 /// Shared blocked core: C += op(A)·op(B) with the operand transposes
 /// expressed as (row, col) strides for the packing routines.
 void GemmStrided(size_t m, size_t n, size_t k, const double* a, size_t ars,
@@ -268,6 +386,27 @@ void BatchedRowDot(size_t m, size_t k, const double* a, size_t lda,
   }
 }
 
+void QuantizedRowDot(size_t m, size_t k, const int8_t* a, size_t lda,
+                     const int8_t* b, double* y) {
+  size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    double* yi = y + i;
+    yi[0] = yi[1] = yi[2] = yi[3] = 0.0;
+    for (size_t p = 0; p < k; p += kQuantizedBlock) {
+      QuantizedDot4(std::min(kQuantizedBlock, k - p), a + i * lda + p, lda,
+                    b + p, yi);
+    }
+  }
+  for (; i < m; ++i) {
+    double s = 0.0;
+    for (size_t p = 0; p < k; p += kQuantizedBlock) {
+      s += QuantizedDot1(std::min(kQuantizedBlock, k - p), a + i * lda + p,
+                         b + p);
+    }
+    y[i] = s;
+  }
+}
+
 namespace naive {
 
 void Gemm(size_t m, size_t n, size_t k, const double* a, size_t lda,
@@ -318,6 +457,18 @@ void BatchedRowDot(size_t m, size_t k, const double* a, size_t lda,
     double s = 0.0;
     for (size_t p = 0; p < k; ++p) s += ar[p] * br[p];
     y[i] = s;
+  }
+}
+
+void QuantizedRowDot(size_t m, size_t k, const int8_t* a, size_t lda,
+                     const int8_t* b, double* y) {
+  for (size_t i = 0; i < m; ++i) {
+    const int8_t* ar = a + i * lda;
+    int64_t s = 0;
+    for (size_t p = 0; p < k; ++p) {
+      s += static_cast<int64_t>(ar[p]) * static_cast<int64_t>(b[p]);
+    }
+    y[i] = static_cast<double>(s);
   }
 }
 

@@ -2,6 +2,7 @@
 #define DTREC_TENSOR_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace dtrec::kernels {
 
@@ -55,6 +56,17 @@ void GemmTransB(size_t m, size_t n, size_t k, const double* a, size_t lda,
 void BatchedRowDot(size_t m, size_t k, const double* a, size_t lda,
                    const double* b, size_t ldb, double* y);
 
+/// Quantized row-dot: y[i] = Σ_p a[i·lda + p]·b[p] over int8 codes, one
+/// shared b row (a quantized user vector) against m rows. Integer
+/// arithmetic throughout, so every variant returns the same value: the
+/// exact dot as an integer-valued double (exact for k < 2^39). AVX2 and
+/// SSE2 variants sign-extend to int16 lanes and multiply-add adjacent
+/// pairs (vpmaddwd) into int32 lanes, which are folded into the double
+/// every 2^16 codes, so no lane overflows at any k; scalar otherwise.
+/// Overwrites y.
+void QuantizedRowDot(size_t m, size_t k, const int8_t* a, size_t lda,
+                     const int8_t* b, double* y);
+
 // Bit-identity contract of BatchedRowDot, relied on by the pruned serving
 // sweep (ServingModel::SweepScore): a body row's result (i <
 // m − m%4) depends only on that row's data — not on m, not on which of
@@ -81,6 +93,8 @@ void GemmTransB(size_t m, size_t n, size_t k, const double* a, size_t lda,
                 const double* b, size_t ldb, double* c, size_t ldc);
 void BatchedRowDot(size_t m, size_t k, const double* a, size_t lda,
                    const double* b, size_t ldb, double* y);
+void QuantizedRowDot(size_t m, size_t k, const int8_t* a, size_t lda,
+                     const int8_t* b, double* y);
 
 }  // namespace naive
 

@@ -1,7 +1,9 @@
 #include "util/string_util.h"
 
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace dtrec {
 
@@ -66,6 +68,22 @@ std::string FormatDouble(double v, int precision) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+Status CheckArg(const std::string& key, const std::string& value,
+                ArgKind kind) {
+  if (kind == ArgKind::kText) return Status::OK();
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0' || !std::isfinite(v)) {
+    return Status::InvalidArgument(StrFormat(
+        "%s=%s is not a finite number", key.c_str(), value.c_str()));
+  }
+  if (kind == ArgKind::kCount && !(v >= 0.0 && v <= 0x1p53)) {
+    return Status::InvalidArgument(StrFormat(
+        "%s=%s must be a non-negative count", key.c_str(), value.c_str()));
+  }
+  return Status::OK();
 }
 
 }  // namespace dtrec

@@ -5,6 +5,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/status.h"
+
 namespace dtrec {
 
 /// printf-style formatting into a std::string.
@@ -26,6 +28,18 @@ std::string FormatDouble(double v, int precision);
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// How a `key=value` argument is read: a count (later cast to an unsigned
+/// integer), any finite real, or free text.
+enum class ArgKind { kCount, kReal, kText };
+
+/// The one rule for `key=value` arguments, shared by the command-line
+/// tools and ApplyOverride: a numeric value must parse whole (strtod with
+/// an end check) to a finite double, and a count must also lie in
+/// [0, 2^53], where its cast to an integer is defined and exact. Text is
+/// accepted as is. The InvalidArgument message names the key and value.
+Status CheckArg(const std::string& key, const std::string& value,
+                ArgKind kind);
 
 }  // namespace dtrec
 

@@ -103,6 +103,13 @@ TEST(IntegrationTest, ProfilesAndOverrides) {
   EXPECT_DOUBLE_EQ(profile.dataset_scale, 0.05);
   EXPECT_FALSE(ApplyOverride("bogus", "1", &profile).ok());
   EXPECT_FALSE(ApplyOverride("epochs", "abc", &profile).ok());
+  // A negative or non-finite count would be cast to size_t (undefined).
+  EXPECT_FALSE(ApplyOverride("epochs", "-1", &profile).ok());
+  EXPECT_FALSE(ApplyOverride("epochs", "inf", &profile).ok());
+  EXPECT_FALSE(ApplyOverride("lr", "nan", &profile).ok());
+  EXPECT_EQ(profile.train.epochs, 3u);
+  ASSERT_TRUE(ApplyOverride("lr", "-0.5", &profile).ok());
+  EXPECT_DOUBLE_EQ(profile.train.learning_rate, -0.5);
   EXPECT_FALSE(ApplyOverride("epochs", "1", nullptr).ok());
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -184,6 +185,47 @@ TEST(KernelsTest, BatchedRowDotLanesArePositionIndependent) {
                                     << i;
       }
     }
+  }
+}
+
+TEST(KernelsTest, QuantizedRowDotEqualsNaiveExactly) {
+  // Integer arithmetic: every ISA variant must return the naive sum
+  // exactly, over row counts that hit the 4-row body and the ragged rows,
+  // widths on both sides of the 8- and 16-code SIMD steps, and codes that
+  // span the whole int8 range (−128 included).
+  Rng rng(19);
+  for (size_t m : {size_t{1}, size_t{4}, size_t{7}, size_t{64}}) {
+    for (size_t k : {size_t{1}, size_t{7}, size_t{8}, size_t{15}, size_t{16},
+                     size_t{17}, size_t{31}, size_t{32}, size_t{33},
+                     size_t{64}}) {
+      std::vector<int8_t> a(m * k), b(k);
+      for (int8_t& v : a) v = static_cast<int8_t>(rng.UniformIndex(256));
+      for (int8_t& v : b) v = static_cast<int8_t>(rng.UniformIndex(256));
+      a[0] = -128;
+      b[0] = -128;
+      a[m * k - 1] = 127;
+      std::vector<double> fast(m), ref(m);
+      kernels::QuantizedRowDot(m, k, a.data(), k, b.data(), fast.data());
+      kernels::naive::QuantizedRowDot(m, k, a.data(), k, b.data(),
+                                      ref.data());
+      for (size_t i = 0; i < m; ++i) {
+        EXPECT_EQ(fast[i], ref[i]) << "m=" << m << " k=" << k << " row " << i;
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, QuantizedRowDotStaysExactPastTheInt32Range) {
+  // All codes −128: each row sums 2^14·k, past 2^31 at this width, so a
+  // kernel that kept the whole row in int32 lanes would wrap.
+  const size_t m = 5, k = (size_t{1} << 17) + 9;
+  const std::vector<int8_t> a(m * k, int8_t{-128}), b(k, int8_t{-128});
+  std::vector<double> fast(m), ref(m);
+  kernels::QuantizedRowDot(m, k, a.data(), k, b.data(), fast.data());
+  kernels::naive::QuantizedRowDot(m, k, a.data(), k, b.data(), ref.data());
+  for (size_t i = 0; i < m; ++i) {
+    EXPECT_EQ(fast[i], 16384.0 * static_cast<double>(k)) << "row " << i;
+    EXPECT_EQ(ref[i], fast[i]) << "row " << i;
   }
 }
 

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -353,6 +355,205 @@ TEST(SubLinearTopKTest, PrunedIsBitIdenticalOnRandomBiasedModels) {
   ExpectBitIdenticalTopK(RandomModel(20, 128, 16, 8, /*with_bias=*/false));
   ExpectBitIdenticalTopK(CatalogueScaleModel(/*skewed=*/true));
   ExpectBitIdenticalTopK(CatalogueScaleModel(/*skewed=*/false));
+}
+
+/// Overwrites each row of `m` with one of the shapes the int8 bound has to
+/// survive: Gaussian, a duplicate of an earlier row, a small integer grid
+/// (many exactly tied scores, and codes that round), one dominant
+/// coordinate, zeros, or a constant (exactly coded). `scale` sets the
+/// magnitude; `grid_share` in [0, 1] is the extra share of grid rows.
+void FillHazardRows(Matrix* m, double scale, double grid_share, Rng* rng) {
+  const size_t d = m->cols();
+  for (size_t r = 0; r < m->rows(); ++r) {
+    double* row = m->row(r);
+    switch (rng->Uniform() < grid_share ? 4 : rng->UniformIndex(8)) {
+      case 0:  // duplicate
+        if (r > 0) {
+          const double* src = m->row(rng->UniformIndex(r));
+          std::copy(src, src + d, row);
+          break;
+        }
+        [[fallthrough]];
+      case 1:
+      case 2:
+      case 3:  // Gaussian
+        for (size_t p = 0; p < d; ++p) row[p] = scale * rng->Normal();
+        break;
+      case 4:  // grid-tied
+        for (size_t p = 0; p < d; ++p) {
+          row[p] = scale * (static_cast<double>(rng->UniformIndex(7)) - 3.0);
+        }
+        break;
+      case 5: {  // one dominant coordinate
+        for (size_t p = 0; p < d; ++p) row[p] = 1e-3 * scale * rng->Normal();
+        row[rng->UniformIndex(d)] = scale * (1.0 + rng->Uniform());
+        break;
+      }
+      case 6:  // zero
+        std::fill(row, row + d, 0.0);
+        break;
+      default:  // constant
+        std::fill(row, row + d, scale * rng->Normal());
+        break;
+    }
+  }
+}
+
+TEST(SubLinearTopKTest, RandomizedHazardModelsMatchBruteForce) {
+  // Seeded sweep over the int8 filter's hazards: every dimension 1–64,
+  // factor scales from 1e-150 to 1e150, the row shapes of FillHazardRows,
+  // with and without biases, and K on both sides of a 64-item chunk. Half
+  // the trials are tie-heavy: mostly grid items, whose scores tie exactly,
+  // so a bound that undershoots by any margin drops a tied item that is
+  // swept later but wins on id. Their users are constant (exactly coded:
+  // only the item residual term covers the gap) or grid rows (inexactly
+  // coded: the ‖p − p̂‖ term covers exactly coded items). Each slate must
+  // equal BruteForceTopK bit for bit: 12,000 slates.
+  Rng rng(2024);
+  size_t slates = 0, mismatches = 0;
+  for (size_t trial = 0; trial < 800; ++trial) {
+    const size_t dim = 1 + trial % 64;
+    const size_t users = 3;
+    const size_t items = 66 + rng.UniformIndex(250);
+    const double user_scale = std::pow(10.0, rng.Uniform(-150.0, 150.0));
+    const double item_scale = std::pow(10.0, rng.Uniform(-150.0, 150.0));
+    const bool tie_heavy = trial % 4 < 2;
+    Matrix p(users, dim), q(items, dim);
+    FillHazardRows(&p, user_scale, trial % 4 == 1 ? 1.0 : 0.0, &rng);
+    if (trial % 4 == 0) {
+      for (size_t u = 0; u < users; ++u) {
+        std::fill(p.row(u), p.row(u) + dim, user_scale * rng.Normal());
+      }
+    }
+    FillHazardRows(&q, item_scale, tie_heavy ? 0.75 : 0.0, &rng);
+    Matrix user_bias, item_bias;
+    if (trial % 2 == 1) {
+      // Biases on the scale of the dot products, so neither term vanishes.
+      const double bias_scale = user_scale * item_scale;
+      user_bias = Matrix::RandomNormal(users, 1, bias_scale, &rng);
+      item_bias = Matrix(items, 1);
+      FillHazardRows(&item_bias, bias_scale, tie_heavy ? 0.75 : 0.0, &rng);
+    }
+    auto built = ServingModel::FromFactors(
+        std::move(p), std::move(q), std::move(user_bias),
+        std::move(item_bias), std::vector<double>(items, 1.0));
+    ASSERT_TRUE(built.ok()) << built.status();
+    const ServingModel& model = built.value();
+    TopKScorer scorer(ScoreCacheConfig{.capacity = 0});
+    for (size_t user = 0; user < users; ++user) {
+      for (const size_t k : {size_t{1}, size_t{10}, size_t{63}, size_t{65},
+                             items}) {
+        const auto got = scorer.ScoreFresh(model, user, k);
+        const auto want = BruteForceTopK(model, user, k);
+        ++slates;
+        bool same = got.size() == want.size();
+        for (size_t i = 0; same && i < want.size(); ++i) {
+          same = got[i].item == want[i].item && got[i].score == want[i].score;
+        }
+        if (!same && mismatches++ == 0) {
+          ADD_FAILURE() << "first mismatch: trial " << trial << " dim "
+                        << dim << " user " << user << " k " << k;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(slates, 12000u);
+  EXPECT_EQ(mismatches, 0u) << "slates differing from BruteForceTopK";
+}
+
+TEST(SubLinearTopKTest, UncodedRowsAreAlwaysRescored) {
+  // Rows the quantizer cannot code: ±Inf and NaN entries, a max whose
+  // reciprocal 127/max overflows, and squares that overflow. Their index
+  // entries must carry an infinite residual, so no bound can exclude them,
+  // and no non-finite double is ever converted to an int8 code.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const size_t users = 4, items = 150, dim = 8;
+  Rng rng(81);
+  Matrix q = Matrix::RandomNormal(items, dim, 1.0, &rng);
+  q(3, 2) = kInf;
+  q(70, 5) = -kInf;
+  for (size_t p = 0; p < dim; ++p) {
+    q(11, p) = 1e-308 * (1.0 + rng.Uniform());
+    q(100, p) = 1e160 * rng.Normal();
+  }
+  // Every user entry is nonzero, so no score is ∞·0.
+  Matrix users_p(users, dim);
+  for (size_t u = 0; u < users; ++u) {
+    for (size_t p = 0; p < dim; ++p) {
+      users_p(u, p) = (rng.Uniform() < 0.5 ? -1.0 : 1.0) *
+                      (0.5 + rng.Uniform());
+    }
+  }
+  const std::vector<size_t> uncoded = {3, 11, 70, 100};
+  auto check_index = [&](const ServingModel& model) {
+    const ServingModel::SweepIndex& index = model.sweep_index();
+    for (size_t j = 0; j < items; ++j) {
+      const uint32_t item = index.items[j];
+      if (std::find(uncoded.begin(), uncoded.end(), item) == uncoded.end()) {
+        EXPECT_LT(index.residuals[j], kInf) << "item " << item;
+        continue;
+      }
+      EXPECT_LT(j, uncoded.size()) << "uncoded item " << item
+                                   << " must sweep first";
+      EXPECT_EQ(index.residuals[j], kInf) << "item " << item;
+      EXPECT_EQ(index.scales[j], 0.0) << "item " << item;
+      for (size_t p = 0; p < dim; ++p) {
+        EXPECT_EQ(index.codes[j * dim + p], 0) << "item " << item;
+      }
+    }
+  };
+  auto finite = ServingModel::FromFactors(
+      users_p, q, Matrix(), Matrix(), std::vector<double>(items, 1.0));
+  ASSERT_TRUE(finite.ok()) << finite.status();
+  check_index(finite.value());
+  ExpectBitIdenticalTopK(finite.value());
+
+  // A NaN entry: the row's scores are NaN, which no slate orders, so this
+  // checks the index and that the sweep still returns full slates.
+  q(3, 2) = std::nan("");
+  auto with_nan = ServingModel::FromFactors(
+      users_p, q, Matrix(), Matrix(), std::vector<double>(items, 1.0));
+  ASSERT_TRUE(with_nan.ok()) << with_nan.status();
+  check_index(with_nan.value());
+  TopKScorer scorer(ScoreCacheConfig{.capacity = 0});
+  for (size_t user = 0; user < users; ++user) {
+    EXPECT_EQ(scorer.ScoreFresh(with_nan.value(), user, 10).size(), 10u);
+  }
+}
+
+TEST(SubLinearTopKTest, UncodedUserSweepsEveryItem) {
+  // A user row the quantizer cannot code (NaN, as in a diverged
+  // checkpoint, or a nonzero max below 2^-500) turns every bound into +∞
+  // or NaN: nothing is pruned, and for the tiny user the slate is still
+  // exact.
+  const size_t items = 300, dim = 6;
+  Rng rng(82);
+  Matrix p(2, dim);
+  for (size_t k = 0; k < dim; ++k) {
+    p(0, k) = std::nan("");
+    p(1, k) = 1e-160 * rng.Normal();
+  }
+  auto built = ServingModel::FromFactors(
+      std::move(p), Matrix::RandomNormal(items, dim, 1.0, &rng), Matrix(),
+      Matrix(), std::vector<double>(items, 1.0));
+  ASSERT_TRUE(built.ok()) << built.status();
+  const ServingModel& model = built.value();
+  std::vector<int8_t> codes(dim, 1);
+  for (size_t user : {size_t{0}, size_t{1}}) {
+    const ServingModel::RowCode code = model.QuantizeUser(user, codes.data());
+    EXPECT_EQ(code.residual, std::numeric_limits<double>::infinity());
+    EXPECT_EQ(code.scale, 0.0);
+    for (const int8_t c : codes) EXPECT_EQ(c, 0);
+  }
+  TopKScorer scorer(ScoreCacheConfig{.capacity = 0});
+  EXPECT_EQ(scorer.ScoreFresh(model, 0, 10).size(), 10u);
+  const auto got = scorer.ScoreFresh(model, 1, 10);
+  const auto want = BruteForceTopK(model, 1, 10);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].item, want[i].item) << "rank " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
+  }
 }
 
 TEST(SubLinearTopKTest, SweepScoreMatchesScoreAllItemsBitForBit) {

@@ -150,8 +150,14 @@ TrainFlags ExtractTrainFlags(int* argc, char** argv, int start) {
   return flags;
 }
 
-ArgMap ParseKeyValues(int argc, char** argv, int start) {
-  ArgMap args;
+/// Keys a subcommand reads, each with how its value is read (CheckArg).
+using KnownArgs = std::map<std::string, ArgKind>;
+
+/// Parses argv[start..) as key=value pairs into `args`, checking each
+/// against `known` before any work. An unknown key or a value CheckArg
+/// rejects prints the offending key and returns false; the caller exits 2.
+bool ParseKeyValues(int argc, char** argv, int start, const KnownArgs& known,
+                    ArgMap* args) {
   for (int i = start; i < argc; ++i) {
     const std::string arg = argv[i];
     const size_t eq = arg.find('=');
@@ -160,9 +166,27 @@ ArgMap ParseKeyValues(int argc, char** argv, int start) {
                    arg.c_str());
       continue;
     }
-    args[arg.substr(0, eq)] = arg.substr(eq + 1);
+    const std::string key = arg.substr(0, eq);
+    const std::string value = arg.substr(eq + 1);
+    const auto kind = known.find(key);
+    if (kind == known.end()) {
+      std::fprintf(stderr, "error: unknown key '%s'\n", key.c_str());
+      return false;
+    }
+    if (const Status st = CheckArg(key, value, kind->second); !st.ok()) {
+      std::fprintf(stderr, "error: %s\n", st.message().c_str());
+      return false;
+    }
+    (*args)[key] = value;
   }
-  return args;
+  return true;
+}
+
+/// The keys ConfigFromArgs reads, plus the ranking cutoff `k`.
+KnownArgs TrainArgs() {
+  return {{"epochs", ArgKind::kCount},    {"dim", ArgKind::kCount},
+          {"batch_size", ArgKind::kCount}, {"lr", ArgKind::kReal},
+          {"seed", ArgKind::kCount},      {"k", ArgKind::kCount}};
 }
 
 double GetNum(const ArgMap& args, const std::string& key,
@@ -213,7 +237,15 @@ int RunGenerate(int argc, char** argv) {
   if (argc < 4) return Usage();
   const std::string kind = argv[2];
   const std::string prefix = argv[3];
-  const ArgMap args = ParseKeyValues(argc, argv, 4);
+  ArgMap args;
+  if (!ParseKeyValues(argc, argv, 4,
+                      {{"seed", ArgKind::kCount},
+                       {"scale", ArgKind::kReal},
+                       {"rho", ArgKind::kReal},
+                       {"epsilon", ArgKind::kReal}},
+                      &args)) {
+    return 2;
+  }
   const uint64_t seed = static_cast<uint64_t>(GetNum(args, "seed", 42));
   const double scale = GetNum(args, "scale", 0.1);
 
@@ -257,9 +289,10 @@ int RunTrain(int argc, char** argv) {
   const TrainFlags flags = ExtractTrainFlags(&argc, argv, 2);
   if (argc < 4) return Usage();
   const std::string method = argv[2];
+  ArgMap args;
+  if (!ParseKeyValues(argc, argv, 4, TrainArgs(), &args)) return 2;
   auto dataset = LoadDataset(argv[3]);
   if (!dataset.ok()) return Fail(dataset.status());
-  const ArgMap args = ParseKeyValues(argc, argv, 4);
   const size_t k = static_cast<size_t>(GetNum(args, "k", 5));
 
   auto trainer_or =
@@ -539,17 +572,23 @@ int RunValidate(int argc, char** argv) {
 /// never fail the diff: new benches appearing is not a regression.
 int RunBenchDiff(int argc, char** argv) {
   std::vector<std::string> paths;
-  double threshold_pct = 25.0;
+  std::string threshold = "25";
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threshold" && i + 1 < argc) {
-      threshold_pct = std::strtod(argv[++i], nullptr);
+      threshold = argv[++i];
     } else if (arg.rfind("--threshold=", 0) == 0) {
-      threshold_pct = std::strtod(arg.c_str() + 12, nullptr);
+      threshold = arg.substr(12);
     } else {
       paths.push_back(arg);
     }
   }
+  if (const Status st = CheckArg("--threshold", threshold, ArgKind::kReal);
+      !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.message().c_str());
+    return 2;
+  }
+  const double threshold_pct = std::strtod(threshold.c_str(), nullptr);
   if (paths.size() != 2 || threshold_pct <= 0.0) return Usage();
 
   std::string old_schema, new_schema;
@@ -624,10 +663,13 @@ int RunBenchDiff(int argc, char** argv) {
 
 int RunCompare(int argc, char** argv) {
   if (argc < 4) return Usage();
+  KnownArgs known = TrainArgs();
+  known["seeds"] = ArgKind::kCount;
+  ArgMap args;
+  if (!ParseKeyValues(argc, argv, 4, known, &args)) return 2;
   auto dataset = LoadDataset(argv[2]);
   if (!dataset.ok()) return Fail(dataset.status());
   const std::vector<std::string> methods = Split(argv[3], ',');
-  const ArgMap args = ParseKeyValues(argc, argv, 4);
 
   DatasetProfile profile;
   profile.train = ConfigFromArgs(args);

@@ -43,7 +43,6 @@
 //                          default: shed-rate spike, scorer-breaker
 //                          transition storm, propensity-clip drift
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -81,10 +80,6 @@ using serve::ServerStats;
 
 using ArgMap = std::map<std::string, std::string>;
 
-/// How a key's value is read: a count (cast to size_t, so it must be
-/// non-negative), any finite real, or free text.
-enum class ArgKind { kCount, kReal, kText };
-
 const std::map<std::string, ArgKind>& KnownArgs() {
   static const std::map<std::string, ArgKind> known = {
       {"requests", ArgKind::kCount},     {"threads", ArgKind::kCount},
@@ -109,19 +104,8 @@ bool ValidateArgs(const ArgMap& args) {
       std::fprintf(stderr, "error: unknown key '%s'\n", key.c_str());
       return false;
     }
-    if (known->second == ArgKind::kText) continue;
-    char* end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (value.empty() || *end != '\0' || !std::isfinite(v)) {
-      std::fprintf(stderr, "error: %s=%s is not a finite number\n",
-                   key.c_str(), value.c_str());
-      return false;
-    }
-    // Casting a negative or too-large double to size_t is undefined; up to
-    // 2^53 every accepted count is also exact.
-    if (known->second == ArgKind::kCount && !(v >= 0.0 && v <= 0x1p53)) {
-      std::fprintf(stderr, "error: %s=%s must be a non-negative count\n",
-                   key.c_str(), value.c_str());
+    if (const Status st = CheckArg(key, value, known->second); !st.ok()) {
+      std::fprintf(stderr, "error: %s\n", st.message().c_str());
       return false;
     }
   }
