@@ -1,5 +1,5 @@
 // Traffic-replay load harness: drives the serving stack (admission
-// controller → worker pool → breaker-guarded TopKScorer) to saturation
+// controller → worker pool → TopKScorer::TopK) to saturation
 // with realistic traffic shapes and emits a schema-stamped
 // BENCH_serving.json capacity record.
 //
@@ -70,8 +70,6 @@
 
 namespace dtrec {
 namespace {
-
-constexpr const char* kServingBenchSchema = "dtrec-bench-serving-v1";
 
 /// Default per-core users/sec floor the --gate mode enforces on Release
 /// unsanitized builds. The 1-core CI container measures ~80k/s on the
@@ -311,15 +309,14 @@ std::string PhaseJson(const PhaseResult& r) {
       "\"users_per_sec\": %.1f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
       "\"p999_us\": %.1f, \"shed_rate\": %.4f, \"degraded_rate\": %.4f, "
       "\"cache_hit_rate\": %.4f, \"deadline_miss\": %llu, "
-      "\"queue_shed\": %llu, \"breaker_open\": %llu}",
+      "\"queue_shed\": %llu}",
       r.phase.c_str(), r.requests, r.elapsed_s,
       r.elapsed_s > 0 ? r.requests / r.elapsed_s : 0.0,
       r.stats.total_us.p50_us, r.stats.total_us.p99_us,
       r.stats.total_us.p999_us, r.shed_rate(), r.degraded_rate(),
       r.stats.cache_hit_rate(),
       static_cast<unsigned long long>(r.stats.deadline_miss),
-      static_cast<unsigned long long>(r.stats.queue_shed),
-      static_cast<unsigned long long>(r.stats.breaker_open));
+      static_cast<unsigned long long>(r.stats.queue_shed));
 }
 
 int RunValidate(const std::string& path, bool gate, double floor) {
@@ -337,7 +334,7 @@ int RunValidate(const std::string& path, bool gate, double floor) {
     return 1;
   }
   std::printf("%s: valid %s (%zu phases, build %s/%s)\n", path.c_str(),
-              kServingBenchSchema, inputs.num_phases,
+              obs::kServingBenchSchema, inputs.num_phases,
               inputs.build_type.c_str(), inputs.sanitizers.c_str());
   if (!gate) return 0;
 
@@ -476,9 +473,7 @@ int Main(int argc, char** argv) {
   const std::string rules_text = StrFormat(
       "p99_slo_burn: p99:replay.total_us, 0.25, %.1f, above\n"
       "shed_spike: rate:replay_flood.rung_shed/replay_flood.requests, "
-      "0.25, 0.25, above\n"
-      "breaker_storm: delta:replay.breaker.scorer.open_transitions, "
-      "0.25, 5, above\n",
+      "0.25, 0.25, above\n",
       burn_threshold_us);
   std::vector<obs::WatchRule> rules;
   if (const Status st = obs::ParseWatchdogRules(rules_text, &rules);
@@ -688,9 +683,6 @@ int Main(int argc, char** argv) {
           ? capacity.requests / capacity.elapsed_s / threads
           : 0.0;
   const double per_core_at_slo = slo_ok ? per_core : 0.0;
-  const uint64_t breaker_transitions =
-      server.scorer_breaker().open_transitions() +
-      server.cache_breaker().open_transitions();
 
   for (const PhaseResult& phase : phases) {
     std::printf("%-16s %6zu req in %6.3fs  p50=%7.1fus p99=%7.1fus "
@@ -707,7 +699,8 @@ int Main(int argc, char** argv) {
 
   std::string json;
   json += "{\n";
-  json += "  \"schema\": \"" + std::string(kServingBenchSchema) + "\",\n";
+  json += "  \"schema\": \"" + std::string(obs::kServingBenchSchema) +
+          "\",\n";
   json += "  \"build\": " + bench::BuildFlavorJson() + ",\n";
   json += StrFormat(
       "  \"config\": {\"users\": %zu, \"items\": %zu, \"dim\": %zu, "
@@ -725,11 +718,10 @@ int Main(int argc, char** argv) {
   json += StrFormat(
       "  \"summary\": {\"per_core_users_per_sec_at_slo\": %.1f, "
       "\"slo_ok\": %s, \"capacity_p99_us\": %.1f, "
-      "\"saturation_shed_rate\": %.4f, \"breaker_open_transitions\": %llu, "
+      "\"saturation_shed_rate\": %.4f, "
       "\"capacity_cache_hit_rate\": %.4f}\n",
       per_core_at_slo, slo_ok ? "true" : "false",
       capacity.stats.total_us.p99_us, phases.back().shed_rate(),
-      static_cast<unsigned long long>(breaker_transitions),
       capacity.stats.cache_hit_rate());
   json += "}\n";
 

@@ -632,8 +632,6 @@ Status ValidateServingBenchJson(const std::string& content,
       cur.ParseObject([&](const std::string& sk) {
         if (sk == "per_core_users_per_sec_at_slo") {
           parsed.per_core_users_per_sec_at_slo = cur.ParseNumber();
-        } else if (sk == "breaker_open_transitions") {
-          parsed.breaker_open_transitions = cur.ParseNumber();
         } else {
           cur.SkipValue();
         }
@@ -646,9 +644,10 @@ Status ValidateServingBenchJson(const std::string& content,
   if (!cur.ok || !cur.AtEnd()) {
     return Status::InvalidArgument("malformed serving bench JSON");
   }
-  if (schema != "dtrec-bench-serving-v1") {
+  if (schema != kServingBenchSchema) {
     return Status::InvalidArgument("schema tag is '" + schema +
-                                   "', expected 'dtrec-bench-serving-v1'");
+                                   "', expected '" + kServingBenchSchema +
+                                   "'");
   }
   if (!saw_build || !build_type || !sanitizers || !numeric_checks ||
       !failpoints) {
@@ -803,7 +802,7 @@ Status ExtractBenchRows(const std::string& content, std::string* schema,
   }
   rows->clear();
   JsonCursor cur{content};
-  if (tag == "dtrec-bench-serving-v1") {
+  if (tag == kServingBenchSchema) {
     ExtractServingRows(&cur, rows);
   } else if (tag == "dtrec-bench-kernels-v3") {
     ExtractKernelRows(&cur, rows);

@@ -78,10 +78,13 @@ struct ServingBenchGateInputs {
   double per_core_users_per_sec_at_slo = 0.0;
   double capacity_p99_us = 0.0;
   double saturation_shed_rate = -1.0;  ///< -1 = no saturation phase
-  double breaker_open_transitions = 0.0;
 };
 
-/// Serving traffic-replay bench JSON: "dtrec-bench-serving-v1" with a
+/// Schema tag of the serving traffic-replay bench JSON. Any other tag,
+/// v1 included, is rejected.
+inline constexpr const char* kServingBenchSchema = "dtrec-bench-serving-v2";
+
+/// Serving traffic-replay bench JSON: kServingBenchSchema with a
 /// build stamp (build_type/sanitizers/numeric_checks/failpoints), a
 /// config object, a non-empty phases array — every phase carrying a
 /// non-empty name, request/latency fields (requests, elapsed_s, p50_us,
@@ -98,7 +101,7 @@ struct BenchDiffRow {
   bool higher_is_better = true;
 };
 
-/// Extracts comparable rows from a dtrec-bench-serving-v1 JSON (per-phase
+/// Extracts comparable rows from a dtrec-bench-serving-v2 JSON (per-phase
 /// users_per_sec and p99_us, plus the summary per-core SLO throughput) or
 /// a dtrec-bench-kernels-v3 JSON (per kernel/variant/shape gflops).
 /// `schema` (optional) receives the detected tag so callers can refuse to

@@ -68,7 +68,7 @@ uint64_t CurrentTraceId();
 std::string FormatTraceId(uint64_t id);
 
 /// Records a zero-duration annotation span ("rung_popularity",
-/// "breaker_scorer_open", …) tagged with the calling thread's current
+/// "degrade_unknown_user", …) tagged with the calling thread's current
 /// trace id. No-op while tracing is disabled.
 void TraceNote(const char* name);
 

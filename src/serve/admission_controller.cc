@@ -89,24 +89,4 @@ double AdmissionController::tokens() const {
   return std::min(tokens_ + elapsed_s * config_.rate_per_s, capacity_);
 }
 
-RetryBudget::RetryBudget(RetryBudgetConfig config)
-    : config_(config), tokens_(config.burst) {}
-
-void RetryBudget::RecordRequest() {
-  std::lock_guard<std::mutex> lock(mu_);
-  tokens_ = std::min(tokens_ + config_.per_request_deposit, config_.burst);
-}
-
-bool RetryBudget::TryAcquire() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (tokens_ < 1.0) return false;
-  tokens_ -= 1.0;
-  return true;
-}
-
-double RetryBudget::tokens() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tokens_;
-}
-
 }  // namespace dtrec::serve

@@ -96,41 +96,6 @@ class AdmissionController {
   obs::Counter* const rejected_depth_counter_;
 };
 
-/// Deadline-aware retry budget: a token bucket refilled by completed
-/// requests instead of by time.
-///
-/// Every finished request deposits `per_request_deposit` tokens (capped at
-/// `burst`); a retry withdraws a whole token. Steady state therefore
-/// bounds retries to a fixed *fraction* of traffic — during a full outage
-/// the budget drains and retries stop amplifying load (the classic
-/// retry-storm failure), while during isolated blips the saved-up burst
-/// lets every affected request retry.
-struct RetryBudgetConfig {
-  double per_request_deposit = 0.1;  ///< ≈ retries allowed per request
-  double burst = 10.0;               ///< max saved-up retry tokens
-};
-
-class RetryBudget {
- public:
-  explicit RetryBudget(RetryBudgetConfig config = {});
-
-  RetryBudget(const RetryBudget&) = delete;
-  RetryBudget& operator=(const RetryBudget&) = delete;
-
-  /// Called once per completed request: deposits the per-request share.
-  void RecordRequest();
-
-  /// True when a retry may run now (one token withdrawn).
-  bool TryAcquire();
-
-  double tokens() const;
-
- private:
-  const RetryBudgetConfig config_;
-  mutable std::mutex mu_;
-  double tokens_ DTREC_GUARDED_BY(mu_);
-};
-
 }  // namespace dtrec::serve
 
 #endif  // DTREC_SERVE_ADMISSION_CONTROLLER_H_

@@ -37,7 +37,6 @@ void CircuitBreaker::TransitionToOpenLocked(double now_us)
     DTREC_REQUIRES(mu_) {
   state_ = State::kOpen;
   probe_in_flight_ = false;
-  probe_successes_ = 0;
   open_until_us_ = now_us + backoff_ms_ * 1e3;
   ++open_transitions_;
   if (open_transitions_counter_ != nullptr) {
@@ -63,7 +62,6 @@ bool CircuitBreaker::Allow() {
       // Backoff elapsed: half-open, admit this caller as the one probe.
       state_ = State::kHalfOpen;
       probe_in_flight_ = true;
-      probe_successes_ = 0;
       if (state_gauge_ != nullptr) {
         state_gauge_->Set(static_cast<double>(State::kHalfOpen));
       }
@@ -92,15 +90,13 @@ void CircuitBreaker::RecordSuccess() {
       // backoff clock decides when to probe.
       return;
     case State::kHalfOpen:
+      // The one probe succeeded: close, and reset the backoff.
       probe_in_flight_ = false;
-      if (++probe_successes_ >= config_.probe_successes_to_close) {
-        state_ = State::kClosed;
-        consecutive_failures_ = 0;
-        probe_successes_ = 0;
-        backoff_ms_ = config_.initial_backoff_ms;
-        if (state_gauge_ != nullptr) {
-          state_gauge_->Set(static_cast<double>(State::kClosed));
-        }
+      state_ = State::kClosed;
+      consecutive_failures_ = 0;
+      backoff_ms_ = config_.initial_backoff_ms;
+      if (state_gauge_ != nullptr) {
+        state_gauge_->Set(static_cast<double>(State::kClosed));
       }
       return;
   }
@@ -152,7 +148,6 @@ void CircuitBreaker::ForceClose() {
   std::lock_guard<std::mutex> lock(mu_);
   state_ = State::kClosed;
   consecutive_failures_ = 0;
-  probe_successes_ = 0;
   probe_in_flight_ = false;
   backoff_ms_ = config_.initial_backoff_ms;
   if (state_gauge_ != nullptr) {

@@ -13,7 +13,7 @@ namespace dtrec::serve {
 
 /// Breaker tuning. The defaults are deliberately forgiving: a dependency
 /// has to fail `failure_threshold` times *in a row* before the breaker
-/// opens, so a healthy serve path never notices the breaker exists.
+/// opens, so a healthy publish feed never notices the breaker exists.
 struct CircuitBreakerConfig {
   /// Consecutive failures that trip Closed → Open.
   int failure_threshold = 5;
@@ -22,12 +22,11 @@ struct CircuitBreakerConfig {
   /// Each failed probe multiplies the backoff (exponential), capped below.
   double backoff_multiplier = 2.0;
   double max_backoff_ms = 10000.0;
-  /// Successful probes needed in HalfOpen to close again (1 = classic).
-  int probe_successes_to_close = 1;
 };
 
-/// Per-dependency circuit breaker with half-open probing and exponential
-/// backoff.
+/// Circuit breaker with half-open probing and exponential backoff. It
+/// guards ModelRegistry's publish path (the swap breaker), where a bad
+/// candidate is real input.
 ///
 ///   Closed ──(threshold consecutive failures)──▶ Open
 ///   Open ──(backoff elapsed)──▶ HalfOpen   (exactly one probe in flight)
@@ -35,14 +34,14 @@ struct CircuitBreakerConfig {
 ///   HalfOpen ──(probe fails)──▶ Open       (backoff doubles, capped)
 ///
 /// Protocol: call Allow() before touching the dependency; when it returns
-/// false, skip the dependency (the serving ladder falls to the next rung).
+/// false, skip the dependency (the registry refuses the publish).
 /// When it returns true, the call *must* be concluded with exactly one
 /// RecordSuccess() or RecordFailure() — in HalfOpen that conclusion is
 /// what resolves the probe.
 ///
 /// All transitions happen under one mutex; the critical sections are a
-/// few comparisons, far below the cost of the dependencies being guarded
-/// (a scoring pass, a cache lookup, a model publish).
+/// few comparisons, far below the cost of the dependency being guarded
+/// (a model publish and its sanity probe).
 ///
 /// The clock is injectable (microseconds, monotonic) so tests drive the
 /// backoff schedule deterministically instead of sleeping.
@@ -96,7 +95,6 @@ class CircuitBreaker {
   mutable std::mutex mu_;
   State state_ DTREC_GUARDED_BY(mu_) = State::kClosed;
   int consecutive_failures_ DTREC_GUARDED_BY(mu_) = 0;
-  int probe_successes_ DTREC_GUARDED_BY(mu_) = 0;
   bool probe_in_flight_ DTREC_GUARDED_BY(mu_) = false;
   double backoff_ms_ DTREC_GUARDED_BY(mu_);
   double open_until_us_ DTREC_GUARDED_BY(mu_) = 0.0;

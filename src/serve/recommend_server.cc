@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -38,15 +37,12 @@ RecommendServer::RecommendServer(const ModelRegistry* registry,
           metrics_->GetCounter(config_.metrics_prefix + ".deadline_miss")),
       queue_shed_(
           metrics_->GetCounter(config_.metrics_prefix + ".queue_shed")),
-      breaker_open_(
-          metrics_->GetCounter(config_.metrics_prefix + ".breaker_open")),
+      unknown_user_(
+          metrics_->GetCounter(config_.metrics_prefix + ".unknown_user")),
       cache_hits_(
           metrics_->GetCounter(config_.metrics_prefix + ".cache_hits")),
       cache_misses_(
           metrics_->GetCounter(config_.metrics_prefix + ".cache_misses")),
-      retries_(metrics_->GetCounter(config_.metrics_prefix + ".retries")),
-      retry_denied_(
-          metrics_->GetCounter(config_.metrics_prefix + ".retry_denied")),
       swaps_(metrics_->GetCounter(config_.metrics_prefix + ".model_swaps")),
       generation_(metrics_->GetGauge(config_.metrics_prefix + ".generation")),
       queue_hist_(
@@ -57,11 +53,6 @@ RecommendServer::RecommendServer(const ModelRegistry* registry,
           metrics_->GetHistogram(config_.metrics_prefix + ".total_us")),
       admission_(config_.admission, metrics_,
                  config_.metrics_prefix + ".admission"),
-      retry_budget_(config_.retry),
-      scorer_breaker_(config_.metrics_prefix + ".breaker.scorer",
-                      config_.breaker, metrics_, config_.breaker_clock),
-      cache_breaker_(config_.metrics_prefix + ".breaker.cache",
-                     config_.breaker, metrics_, config_.breaker_clock),
       pool_(config_.num_threads, config_.max_queue) {
   DTREC_CHECK(registry != nullptr);
   // A fresh server owns its metric prefix and starts from zero — a prior
@@ -103,20 +94,10 @@ void RecommendServer::StatsDumpLoop() {
 
 std::future<Recommendation> RecommendServer::Submit(
     const RecommendRequest& request) {
-  bool admitted = true;
-  try {
-    DTREC_FAILPOINT("serve/queue_admit");
-  } catch (const failpoint::FailpointAbort&) {
-    // An injected admission fault sheds the request — the front door
-    // refusing is exactly what this failpoint simulates.
-    admitted = false;
-  }
-  if (admitted && admission_.TryAdmit(pool_.pending()) !=
-                      AdmissionController::Decision::kAdmit) {
-    admitted = false;
-  }
-  // The trace id is minted at the front door — before the admission
-  // verdict — so a shed request's annotation chain carries the same kind
+  const bool admitted = admission_.TryAdmit(pool_.pending()) ==
+                        AdmissionController::Decision::kAdmit;
+  // The trace id is minted at the front door, whatever the admission
+  // verdict, so a shed request's annotation chain carries the same kind
   // of identity as a served one.
   const uint64_t trace_id = obs::NewTraceId();
   if (admitted) {
@@ -203,8 +184,18 @@ Recommendation RecommendServer::Handle(const RecommendRequest& request,
     // Budget burned in the queue: serve the precomputed popularity
     // ranking instead of burning more time on a full scoring pass.
     PopularitySlate(*model, k, DegradeReason::kDeadlineMiss, &response);
+  } else if (request.user >= model->num_users()) {
+    // No row for this user in the pinned model (a cold-start id, or one a
+    // swap to a smaller checkpoint dropped): the cold-start answer is the
+    // popularity ranking. The scorer and the cache never see the id.
+    PopularitySlate(*model, k, DegradeReason::kUnknownUser, &response);
   } else {
-    ScoreLadder(*model, request.user, k, deadline_us, waited_us, &response);
+    DTREC_TRACE_SPAN("serve_score");
+    response.items =
+        scorer_.TopK(*model, request.user, k, &response.cache_hit);
+    response.rung =
+        response.cache_hit ? ServeRung::kCachedSlate : ServeRung::kFullTopK;
+    (response.cache_hit ? cache_hits_ : cache_misses_)->Increment();
   }
   response.score_us = stage_watch.ElapsedMicros();
   response.total_us = waited_us + handle_watch.ElapsedMicros();
@@ -217,84 +208,7 @@ Recommendation RecommendServer::Handle(const RecommendRequest& request,
   queue_hist_->Record(response.queue_us, exemplar_id);
   score_hist_->Record(response.score_us, exemplar_id);
   total_hist_->Record(response.total_us, exemplar_id);
-  retry_budget_.RecordRequest();
   return response;
-}
-
-void RecommendServer::ScoreLadder(const ServingModel& model, size_t user,
-                                  size_t k, double deadline_us,
-                                  double spent_us,
-                                  Recommendation* response) {
-  DTREC_TRACE_SPAN("serve_score");
-  const uint64_t generation = model.generation();
-  const Stopwatch ladder_watch;
-
-  // The score cache is one dependency: Allow() once per request covers
-  // the lookup and (on a miss that reaches a fresh slate) the fill.
-  // `cache_pending` tracks an Allow() not yet concluded by a Record*().
-  bool cache_pending = cache_breaker_.Allow();
-  if (!cache_pending) obs::TraceNote("breaker_cache_open");
-  if (cache_pending) {
-    std::vector<ScoredItem> slate;
-    if (scorer_.CachedSlate(generation, user, k, &slate)) {
-      cache_breaker_.RecordSuccess();
-      response->rung = ServeRung::kCachedSlate;
-      response->cache_hit = true;
-      response->items = std::move(slate);
-      cache_hits_->Increment();
-      return;
-    }
-    cache_misses_->Increment();
-  }
-
-  // Fresh scoring pass, breaker-guarded, with at most one budgeted retry.
-  bool scored = false;
-  std::vector<ScoredItem> slate;
-  for (int attempt = 0; attempt < 2 && !scored; ++attempt) {
-    if (!scorer_breaker_.Allow()) {
-      obs::TraceNote("breaker_scorer_open");
-      break;
-    }
-    try {
-      slate = scorer_.ScoreFresh(model, user, k);
-      scored = true;
-      scorer_breaker_.RecordSuccess();
-    } catch (const failpoint::FailpointAbort&) {
-      scorer_breaker_.RecordFailure();
-      if (attempt > 0) break;
-      // Retry only while the deadline still has room and the budget —
-      // refilled by completed requests, so retries stay a bounded
-      // fraction of traffic — grants a token.
-      const bool in_deadline =
-          deadline_us < 0 ||
-          spent_us + ladder_watch.ElapsedMicros() < deadline_us;
-      if (!in_deadline || !retry_budget_.TryAcquire()) {
-        retry_denied_->Increment();
-        break;
-      }
-      retries_->Increment();
-    }
-  }
-
-  if (!scored) {
-    // Scorer breaker open or the pass kept failing: popularity fallback.
-    if (cache_pending) cache_breaker_.RecordSuccess();  // lookup was clean
-    PopularitySlate(model, k, DegradeReason::kBreakerOpen, response);
-    return;
-  }
-
-  response->rung = ServeRung::kFullTopK;
-  if (cache_pending) {
-    try {
-      scorer_.StoreSlate(generation, user, slate);
-      cache_breaker_.RecordSuccess();
-    } catch (const failpoint::FailpointAbort&) {
-      // Fill failed — the slate itself is still good; only the cache
-      // dependency is charged.
-      cache_breaker_.RecordFailure();
-    }
-  }
-  response->items = std::move(slate);
 }
 
 void RecommendServer::PopularitySlate(const ServingModel& model, size_t k,
@@ -345,9 +259,9 @@ void RecommendServer::CountResponse(const Recommendation& response) {
       queue_shed_->Increment();
       obs::TraceNote("degrade_queue_shed");
       break;
-    case DegradeReason::kBreakerOpen:
-      breaker_open_->Increment();
-      obs::TraceNote("degrade_breaker_open");
+    case DegradeReason::kUnknownUser:
+      unknown_user_->Increment();
+      obs::TraceNote("degrade_unknown_user");
       break;
   }
 }
@@ -361,11 +275,9 @@ ServerStats RecommendServer::Snapshot() const {
   stats.rung_shed = rung_shed_->Value();
   stats.deadline_miss = deadline_miss_->Value();
   stats.queue_shed = queue_shed_->Value();
-  stats.breaker_open = breaker_open_->Value();
+  stats.unknown_user = unknown_user_->Value();
   stats.cache_hits = cache_hits_->Value();
   stats.cache_misses = cache_misses_->Value();
-  stats.retries = retries_->Value();
-  stats.retry_denied = retry_denied_->Value();
   stats.model_swaps = swaps_->Value();
   stats.generation = registry_->generation();
   stats.queue_us = queue_hist_->Summarize();
@@ -382,11 +294,9 @@ void RecommendServer::ResetStats() {
   rung_shed_->Reset();
   deadline_miss_->Reset();
   queue_shed_->Reset();
-  breaker_open_->Reset();
+  unknown_user_->Reset();
   cache_hits_->Reset();
   cache_misses_->Reset();
-  retries_->Reset();
-  retry_denied_->Reset();
   swaps_->Reset();
   queue_hist_->Reset();
   score_hist_->Reset();

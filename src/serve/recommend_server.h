@@ -13,7 +13,6 @@
 
 #include "obs/metrics.h"
 #include "serve/admission_controller.h"
-#include "serve/circuit_breaker.h"
 #include "serve/model_registry.h"
 #include "serve/server_stats.h"
 #include "serve/topk_scorer.h"
@@ -41,14 +40,6 @@ struct ServerConfig {
   /// 0 means "already expired" (every pooled request degrades —
   /// deterministic, used in tests); < 0 disables the deadline.
   double default_deadline_ms = 50.0;
-  /// Budget for retrying a failed scoring pass (see RetryBudget): refilled
-  /// by completed requests, so retries stay a bounded fraction of traffic.
-  RetryBudgetConfig retry;
-  /// Breaker thresholds shared by the scorer and score-cache breakers.
-  CircuitBreakerConfig breaker;
-  /// Injectable monotonic-microsecond clock for the breakers (tests drive
-  /// backoff deterministically); default = steady_clock.
-  CircuitBreaker::ClockFn breaker_clock;
   /// Score-cache knobs: cache.capacity = 0 disables the score cache.
   ScoreCacheConfig cache;
   /// Registry backing the server's counters and latency histograms, so
@@ -96,8 +87,8 @@ struct Recommendation {
 ///
 ///   registry ──Acquire()──▶ ServingModel (pinned per request)
 ///        │                        │
-///   AdmissionController ─▶ ThreadPool workers ──▶ TopKScorer (+ LRU cache)
-///        │                        │
+///   AdmissionController ─▶ ThreadPool workers ──▶ TopKScorer::TopK
+///        │                        │                (sweep + LRU cache)
 ///        └──── MetricsRegistry ◀── latency histograms / counters
 ///
 /// Submit() runs the admission controller (token bucket + queue depth),
@@ -115,15 +106,13 @@ struct Recommendation {
 ///   kFullTopK ─▶ kCachedSlate ─▶ kPopularity ─▶ kShed
 ///
 /// Admission/queue rejection ⇒ kShed (empty slate, O(1)). A burned
-/// deadline ⇒ kPopularity (reason kDeadlineMiss). The scoring path is
-/// guarded by two circuit breakers: `breaker.cache` over the score cache
-/// (lookup + fill treated as one dependency) and `breaker.scorer` over
-/// the fresh scoring pass. An open scorer breaker — or a scoring failure
-/// that the deadline-aware retry budget cannot absorb — degrades to
-/// kPopularity (reason kBreakerOpen). Failpoint sites `serve/queue_admit`,
-/// `serve/score`, and `serve/cache_fill` inject faults at each boundary;
-/// the chaos suite drives all of them concurrently and asserts the
-/// counters stay torn-free.
+/// deadline ⇒ kPopularity (reason kDeadlineMiss). A user id the pinned
+/// model has no row for — a cold-start user, or one a hot swap to a
+/// smaller checkpoint dropped — ⇒ kPopularity (reason kUnknownUser),
+/// before the scorer or the cache sees the id. Everything else is one
+/// TopKScorer::TopK call: kCachedSlate on a cache hit, kFullTopK on a
+/// fresh sweep. The chaos suite replays traffic concurrently with hot
+/// swaps and asserts the counters stay torn-free.
 ///
 /// Counters and histograms live in the ServerConfig's MetricsRegistry
 /// under `metrics_prefix` (resolved once at construction; the hot path
@@ -153,9 +142,6 @@ class RecommendServer {
 
   const ServerConfig& config() const { return config_; }
 
-  /// Breakers over the serve-path dependencies (tests/monitoring).
-  const CircuitBreaker& scorer_breaker() const { return scorer_breaker_; }
-  const CircuitBreaker& cache_breaker() const { return cache_breaker_; }
   const AdmissionController& admission() const { return admission_; }
 
  private:
@@ -163,17 +149,11 @@ class RecommendServer {
   /// `forced` != kNone short-circuits the ladder: kQueueShed answers with
   /// the empty shed slate (no scoring work for a request we refused).
   /// `trace_id` is the request identity minted at Submit() (0 → mint one
-  /// here): installed as an obs::TraceContext so spans, rung/breaker
+  /// here): installed as an obs::TraceContext so spans, rung/reason
   /// annotations and histogram exemplars all tie back to this request.
   Recommendation Handle(const RecommendRequest& request, double waited_us,
                         DegradeReason forced = DegradeReason::kNone,
                         uint64_t trace_id = 0);
-
-  /// The scoring ladder: cached slate → fresh pass (breaker-guarded, one
-  /// budgeted retry) → popularity. Fills `response` rung/reason/items.
-  void ScoreLadder(const ServingModel& model, size_t user, size_t k,
-                   double deadline_us, double spent_us,
-                   Recommendation* response);
 
   void PopularitySlate(const ServingModel& model, size_t k,
                        DegradeReason reason, Recommendation* response);
@@ -195,11 +175,9 @@ class RecommendServer {
   obs::Counter* const rung_shed_;
   obs::Counter* const deadline_miss_;
   obs::Counter* const queue_shed_;
-  obs::Counter* const breaker_open_;
+  obs::Counter* const unknown_user_;
   obs::Counter* const cache_hits_;
   obs::Counter* const cache_misses_;
-  obs::Counter* const retries_;
-  obs::Counter* const retry_denied_;
   obs::Counter* const swaps_;
   obs::Gauge* const generation_;
   obs::Histogram* const queue_hist_;
@@ -210,9 +188,6 @@ class RecommendServer {
   std::atomic<uint64_t> trace_tick_{0};
 
   AdmissionController admission_;
-  RetryBudget retry_budget_;
-  CircuitBreaker scorer_breaker_;
-  CircuitBreaker cache_breaker_;
 
   std::mutex dump_mu_;
   std::condition_variable dump_cv_;

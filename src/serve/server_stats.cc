@@ -26,8 +26,8 @@ const char* ToString(DegradeReason reason) {
       return "deadline_miss";
     case DegradeReason::kQueueShed:
       return "queue_shed";
-    case DegradeReason::kBreakerOpen:
-      return "breaker_open";
+    case DegradeReason::kUnknownUser:
+      return "unknown_user";
   }
   return "unknown";
 }
@@ -35,9 +35,8 @@ const char* ToString(DegradeReason reason) {
 std::string ServerStats::Summary() const {
   return StrFormat(
       "requests=%llu full=%llu cached=%llu pop=%llu shed=%llu "
-      "deadline_miss=%llu queue_shed=%llu breaker_open=%llu "
-      "cache_hit=%.1f%% retries=%llu swaps=%llu generation=%llu "
-      "p50=%.0fus p99=%.0fus",
+      "deadline_miss=%llu queue_shed=%llu unknown_user=%llu "
+      "cache_hit=%.1f%% swaps=%llu generation=%llu p50=%.0fus p99=%.0fus",
       static_cast<unsigned long long>(requests),
       static_cast<unsigned long long>(rung_full),
       static_cast<unsigned long long>(rung_cached),
@@ -45,8 +44,7 @@ std::string ServerStats::Summary() const {
       static_cast<unsigned long long>(rung_shed),
       static_cast<unsigned long long>(deadline_miss),
       static_cast<unsigned long long>(queue_shed),
-      static_cast<unsigned long long>(breaker_open),
-      100.0 * cache_hit_rate(), static_cast<unsigned long long>(retries),
+      static_cast<unsigned long long>(unknown_user), 100.0 * cache_hit_rate(),
       static_cast<unsigned long long>(model_swaps),
       static_cast<unsigned long long>(generation), total_us.p50_us,
       total_us.p99_us);

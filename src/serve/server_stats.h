@@ -17,11 +17,12 @@ using LatencyHistogram = ::dtrec::obs::Histogram;
 
 /// The degradation ladder: every request resolves to exactly one rung,
 /// best rung first. Numeric order IS ladder order, so "response A is no
-/// worse than B" is an integer comparison — the chaos suite relies on it.
+/// worse than B" is an integer comparison — Recommendation::degraded()
+/// relies on it.
 enum class ServeRung : uint8_t {
   kFullTopK = 0,     ///< fresh full scoring pass
   kCachedSlate = 1,  ///< served from the per-user score cache
-  kPopularity = 2,   ///< popularity fallback (deadline or scorer failure)
+  kPopularity = 2,   ///< popularity fallback (deadline or unknown user)
   kShed = 3,         ///< refused — empty slate, O(1) cost
 };
 
@@ -31,7 +32,7 @@ enum class DegradeReason : uint8_t {
   kNone = 0,
   kDeadlineMiss = 1,  ///< latency budget burned before scoring could start
   kQueueShed = 2,     ///< refused at admission or by the full worker queue
-  kBreakerOpen = 3,   ///< scorer breaker open, or the scoring pass failed
+  kUnknownUser = 3,   ///< user id outside the pinned model's user table
 };
 
 const char* ToString(ServeRung rung);
@@ -41,10 +42,11 @@ const char* ToString(DegradeReason reason);
 /// RecommendServer. A snapshot is plain data — safe to copy, print, or
 /// diff against an earlier snapshot.
 ///
-/// Invariants (the chaos suite asserts them under fault injection):
+/// Invariants (the chaos suite asserts them under concurrent replay):
 ///   requests == rung_full + rung_cached + rung_popularity + rung_shed
-///   rung_popularity == deadline_miss + breaker_open
+///   rung_popularity == deadline_miss + unknown_user
 ///   rung_shed == queue_shed
+///   cache_hits + cache_misses == rung_full + rung_cached
 struct ServerStats {
   uint64_t requests = 0;         ///< completed requests
   uint64_t rung_full = 0;        ///< fresh full-scoring slates
@@ -55,12 +57,10 @@ struct ServerStats {
   // Degradation causes, disjoint (see DegradeReason).
   uint64_t deadline_miss = 0;
   uint64_t queue_shed = 0;
-  uint64_t breaker_open = 0;
+  uint64_t unknown_user = 0;
 
   uint64_t cache_hits = 0;    ///< slates served from the score cache
   uint64_t cache_misses = 0;  ///< cache lookups that ran a full pass
-  uint64_t retries = 0;       ///< scoring retries granted by the budget
-  uint64_t retry_denied = 0;  ///< retries refused (budget or deadline)
   uint64_t model_swaps = 0;   ///< registry generation changes observed
   uint64_t generation = 0;    ///< model generation at snapshot time
 
@@ -84,7 +84,8 @@ struct ServerStats {
   }
 
   /// One-line counter digest, e.g. "requests=1000 full=800 cached=150
-  /// pop=40 shed=10 deadline_miss=30 breaker_open=10 cache_hit=34.0% ...".
+  /// pop=40 shed=10 deadline_miss=30 queue_shed=10 unknown_user=10
+  /// cache_hit=34.0% ...".
   std::string Summary() const;
 };
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "tensor/kernels.h"
-#include "util/failpoint.h"
 
 namespace dtrec::serve {
 namespace {
@@ -101,12 +100,22 @@ bool TopKScorer::CachedSlate(uint64_t generation, size_t user, size_t k,
   // entry, so without this guard an empty request would both report a hit
   // and refresh the user's LRU position.
   if (config_.capacity == 0 || k == 0) return false;
-  return CacheLookup(user, generation, k, out);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(user);
+  if (it == entries_.end()) return false;
+  CacheEntry& entry = it->second;
+  if (entry.generation != generation || entry.slate.size() < k) {
+    // Stale generation or too-short slate: treat as a miss; the recompute
+    // will overwrite the entry.
+    return false;
+  }
+  lru_.splice(lru_.begin(), lru_, entry.lru_pos);
+  out->assign(entry.slate.begin(), entry.slate.begin() + k);
+  return true;
 }
 
 std::vector<ScoredItem> TopKScorer::ScoreFresh(const ServingModel& model,
                                                size_t user, size_t k) {
-  DTREC_FAILPOINT("serve/score");
   k = std::min(k, model.num_items());
   if (k == 0) return {};
   // Norm-bound pruned sweep with an int8 bound filter. Items are visited
@@ -173,28 +182,6 @@ std::vector<ScoredItem> TopKScorer::ScoreFresh(const ServingModel& model,
 void TopKScorer::StoreSlate(uint64_t generation, size_t user,
                             const std::vector<ScoredItem>& slate) {
   if (config_.capacity == 0 || slate.empty()) return;
-  DTREC_FAILPOINT("serve/cache_fill");
-  CacheStore(user, generation, slate);
-}
-
-bool TopKScorer::CacheLookup(size_t user, uint64_t generation, size_t k,
-                             std::vector<ScoredItem>* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(user);
-  if (it == entries_.end()) return false;
-  CacheEntry& entry = it->second;
-  if (entry.generation != generation || entry.slate.size() < k) {
-    // Stale generation or too-short slate: treat as a miss; the recompute
-    // will overwrite the entry.
-    return false;
-  }
-  lru_.splice(lru_.begin(), lru_, entry.lru_pos);
-  out->assign(entry.slate.begin(), entry.slate.begin() + k);
-  return true;
-}
-
-void TopKScorer::CacheStore(size_t user, uint64_t generation,
-                            const std::vector<ScoredItem>& slate) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(user);
   if (it != entries_.end()) {

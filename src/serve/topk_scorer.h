@@ -55,10 +55,12 @@ class TopKScorer {
   TopKScorer& operator=(const TopKScorer&) = delete;
 
   /// Top-`k` slate for `user` under `model` (k clamped to the catalogue
-  /// size). Thread-safe. `cache_hit`, when non-null, reports whether the
-  /// slate came from the cache. Composition of the three staged calls
-  /// below — callers that need per-dependency failure handling (the
-  /// degradation ladder in RecommendServer) drive the stages themselves.
+  /// size): a cached slate when one of the model's generation holds at
+  /// least k items, else a fresh sweep that is then cached. Thread-safe.
+  /// `cache_hit`, when non-null, reports whether the slate came from the
+  /// cache. RecommendServer scores only through this call; the staged
+  /// calls below stay public for benchmarks and tests that drive or time
+  /// one stage alone. `user` must be below model.num_users().
   std::vector<ScoredItem> TopK(const ServingModel& model, size_t user,
                                size_t k, bool* cache_hit = nullptr);
 
@@ -68,16 +70,12 @@ class TopKScorer {
                    std::vector<ScoredItem>* out);
 
   /// Scoring stage: the pruned sweep above, no cache interaction.
-  /// Failpoint site `serve/score` fires at entry (an
-  /// armed `abort` spec throws failpoint::FailpointAbort — the injected
-  /// "scorer dependency failed" fault the serving ladder degrades on).
   std::vector<ScoredItem> ScoreFresh(const ServingModel& model, size_t user,
                                      size_t k);
 
   /// Cache stage, fill half: stores `slate` for `user` under `generation`
-  /// (LRU-evicting; no-op when the cache is disabled). Failpoint site
-  /// `serve/cache_fill` fires before the cache is touched, so an injected
-  /// fault never leaves a half-written entry.
+  /// (LRU-evicting; no-op when the cache is disabled or the slate is
+  /// empty). An entry of the same generation keeps the longer slate.
   void StoreSlate(uint64_t generation, size_t user,
                   const std::vector<ScoredItem>& slate);
 
@@ -92,12 +90,6 @@ class TopKScorer {
     std::vector<ScoredItem> slate;
     std::list<size_t>::iterator lru_pos;
   };
-
-  /// Returns a copy of the cached slate prefix on hit.
-  bool CacheLookup(size_t user, uint64_t generation, size_t k,
-                   std::vector<ScoredItem>* out);
-  void CacheStore(size_t user, uint64_t generation,
-                  const std::vector<ScoredItem>& slate);
 
   const ScoreCacheConfig config_;
   mutable std::mutex mu_;

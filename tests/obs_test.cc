@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/event_log.h"
@@ -746,6 +747,149 @@ TEST(ObsValidatorTest, RejectsMalformedArtifacts) {
   EXPECT_FALSE(obs::ValidateMetricsJson(R"({"schema": "nope"})").ok());
   EXPECT_FALSE(
       obs::ValidateMetricsJson(R"({"schema": "dtrec-metrics-v1"})").ok());
+}
+
+// ---------------------------------------------------------------------------
+// Serving-bench validator: ValidateServingBenchJson and ExtractBenchRows
+// parse BENCH_serving.json files this process did not write.
+
+/// A minimal valid v2 document with two phases.
+const char* const kServingBenchV2 = R"({
+  "schema": "dtrec-bench-serving-v2",
+  "build": {"build_type": "Release", "sanitizers": "none",
+            "numeric_checks": false, "failpoints": false},
+  "config": {"users": 20, "slo_ms": 5.00},
+  "phases": [
+    {"phase": "capacity", "requests": 100, "elapsed_s": 0.5,
+     "p50_us": 1.0, "p99_us": 30.0, "p999_us": 60.0, "shed_rate": 0.0,
+     "degraded_rate": 0.0, "cache_hit_rate": 0.9, "deadline_miss": 0,
+     "queue_shed": 0},
+    {"phase": "saturation_flood", "requests": 200, "elapsed_s": 0.25,
+     "p50_us": 0.5, "p99_us": 80.0, "p999_us": 150.0, "shed_rate": 0.75,
+     "degraded_rate": 0.75, "cache_hit_rate": 0.5, "deadline_miss": 0,
+     "queue_shed": 150}
+  ],
+  "summary": {"per_core_users_per_sec_at_slo": 200.0, "slo_ok": true}
+})";
+
+/// kServingBenchV2 with the first occurrence of `from` replaced by `to`.
+std::string ServingBenchWith(const std::string& from, const std::string& to) {
+  std::string doc = kServingBenchV2;
+  const size_t at = doc.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) doc.replace(at, from.size(), to);
+  return doc;
+}
+
+TEST(ServingBenchValidatorTest, AcceptsV2AndReadsTheGateInputs) {
+  obs::ServingBenchGateInputs gate;
+  ASSERT_TRUE(obs::ValidateServingBenchJson(kServingBenchV2, &gate).ok());
+  EXPECT_EQ(gate.build_type, "Release");
+  EXPECT_EQ(gate.sanitizers, "none");
+  EXPECT_FALSE(gate.failpoints);
+  EXPECT_EQ(gate.num_phases, 2u);
+  EXPECT_DOUBLE_EQ(gate.slo_ms, 5.0);
+  EXPECT_DOUBLE_EQ(gate.per_core_users_per_sec_at_slo, 200.0);
+  EXPECT_DOUBLE_EQ(gate.capacity_p99_us, 30.0);
+  EXPECT_DOUBLE_EQ(gate.saturation_shed_rate, 0.75);
+}
+
+TEST(ServingBenchValidatorTest, RejectsV1NamingV2) {
+  const Status st = obs::ValidateServingBenchJson(ServingBenchWith(
+      "dtrec-bench-serving-v2", "dtrec-bench-serving-v1"));
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.ToString().find("dtrec-bench-serving-v2"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(ServingBenchValidatorTest, RejectsBadRateOrMissingPercentile) {
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {"\"shed_rate\": 0.75", "\"shed_rate\": 1.5"},
+      {"\"cache_hit_rate\": 0.9", "\"cache_hit_rate\": -0.1"},
+      {"\"degraded_rate\": 0.75", "\"degraded_rate\": 2"},
+      {"\"p999_us\": 60.0, ", ""},
+      {"\"p50_us\": 0.5, ", ""},
+      {"\"p99_us\": 30.0, ", ""}};
+  for (const auto& [from, to] : edits) {
+    const Status st =
+        obs::ValidateServingBenchJson(ServingBenchWith(from, to));
+    EXPECT_FALSE(st.ok()) << from << " -> " << to;
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << from;
+  }
+}
+
+TEST(ServingBenchValidatorTest, ExtractBenchRowsReadsV2AndRefusesV1) {
+  std::string schema;
+  std::vector<obs::BenchDiffRow> rows;
+  ASSERT_TRUE(obs::ExtractBenchRows(kServingBenchV2, &schema, &rows).ok());
+  EXPECT_EQ(schema, "dtrec-bench-serving-v2");
+  std::map<std::string, obs::BenchDiffRow> by_name;
+  for (const obs::BenchDiffRow& row : rows) by_name[row.name] = row;
+  ASSERT_EQ(by_name.size(), 5u);
+  EXPECT_DOUBLE_EQ(by_name["capacity.requests_per_sec"].value, 200.0);
+  EXPECT_TRUE(by_name["capacity.requests_per_sec"].higher_is_better);
+  EXPECT_DOUBLE_EQ(by_name["capacity.p99_us"].value, 30.0);
+  EXPECT_FALSE(by_name["capacity.p99_us"].higher_is_better);
+  EXPECT_DOUBLE_EQ(by_name["saturation_flood.requests_per_sec"].value, 800.0);
+  EXPECT_DOUBLE_EQ(by_name["saturation_flood.p99_us"].value, 80.0);
+  EXPECT_DOUBLE_EQ(by_name["summary.per_core_users_per_sec_at_slo"].value,
+                   200.0);
+
+  const Status v1 = obs::ExtractBenchRows(
+      ServingBenchWith("dtrec-bench-serving-v2", "dtrec-bench-serving-v1"),
+      &schema, &rows);
+  EXPECT_FALSE(v1.ok());
+  EXPECT_EQ(v1.code(), StatusCode::kInvalidArgument);
+}
+
+/// The committed root BENCH_serving.json, read once per test.
+std::string CommittedServingBench() {
+  std::string bytes;
+  EXPECT_TRUE(ReadFile(DTREC_COMMITTED_SERVING_BENCH, &bytes).ok());
+  EXPECT_TRUE(obs::ValidateServingBenchJson(bytes).ok());
+  return bytes;
+}
+
+/// Both parsers on one mutant: each answers OK or InvalidArgument — never
+/// a crash, never another code.
+void ExpectOkOrInvalidArgument(const std::string& doc,
+                               const std::string& what) {
+  const Status validated = obs::ValidateServingBenchJson(doc);
+  EXPECT_TRUE(validated.ok() ||
+              validated.code() == StatusCode::kInvalidArgument)
+      << what << ": " << validated.ToString();
+  std::string schema;
+  std::vector<obs::BenchDiffRow> rows;
+  const Status extracted = obs::ExtractBenchRows(doc, &schema, &rows);
+  EXPECT_TRUE(extracted.ok() ||
+              extracted.code() == StatusCode::kInvalidArgument)
+      << what << ": " << extracted.ToString();
+}
+
+TEST(ServingBenchCorruptionFuzzTest, EveryPrefixTruncation) {
+  const std::string bytes = CommittedServingBench();
+  const size_t closing = bytes.rfind('}');
+  ASSERT_NE(closing, std::string::npos);
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    const std::string prefix = bytes.substr(0, len);
+    ExpectOkOrInvalidArgument(prefix, "truncation to " + std::to_string(len));
+    // Cut before the closing brace, the document is incomplete.
+    if (len <= closing) {
+      EXPECT_FALSE(obs::ValidateServingBenchJson(prefix).ok())
+          << "truncation to " << len << " of " << bytes.size()
+          << " bytes was accepted";
+    }
+  }
+}
+
+TEST(ServingBenchCorruptionFuzzTest, EverySingleByteFlip) {
+  const std::string bytes = CommittedServingBench();
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    std::string mutated = bytes;
+    mutated[pos] ^= static_cast<char>(0xFF);
+    ExpectOkOrInvalidArgument(mutated, "flip at byte " + std::to_string(pos));
+  }
 }
 
 }  // namespace

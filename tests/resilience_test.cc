@@ -1,7 +1,7 @@
 // Unit tests for the serving-resilience primitives: CircuitBreaker state
 // machine + exponential backoff (driven by a fake clock, no sleeping),
-// AdmissionController token bucket / depth cap, RetryBudget, and the
-// ModelRegistry publish-probe / rollback path. The multi-threaded
+// AdmissionController token bucket / depth cap, and the ModelRegistry
+// publish-probe / swap-breaker / rollback path. The multi-threaded
 // fault-storm coverage lives in chaos_test.cc; this file pins down the
 // single-threaded protocol contracts those storms rely on.
 
@@ -207,35 +207,6 @@ TEST(AdmissionControllerTest, AllZeroConfigAdmitsEverything) {
               AdmissionController::Decision::kAdmit);
   }
   EXPECT_EQ(admission.admitted(), 100u);
-}
-
-// ------------------------------------------------------------- RetryBudget
-
-TEST(RetryBudgetTest, BurstBoundsConsecutiveRetries) {
-  RetryBudgetConfig config;
-  config.per_request_deposit = 0.1;
-  config.burst = 3.0;
-  RetryBudget budget(config);
-  EXPECT_TRUE(budget.TryAcquire());
-  EXPECT_TRUE(budget.TryAcquire());
-  EXPECT_TRUE(budget.TryAcquire());
-  EXPECT_FALSE(budget.TryAcquire());  // drained: retry storm stops here
-}
-
-TEST(RetryBudgetTest, CompletedRequestsRefillTheBudget) {
-  RetryBudgetConfig config;
-  // 0.25 is exact in binary, so the deposit arithmetic has no rounding
-  // slop: four completed requests earn exactly one retry.
-  config.per_request_deposit = 0.25;
-  config.burst = 3.0;
-  RetryBudget budget(config);
-  while (budget.TryAcquire()) {
-  }
-  for (int i = 0; i < 3; ++i) budget.RecordRequest();
-  EXPECT_FALSE(budget.TryAcquire());  // 0.75 tokens: not yet a whole retry
-  budget.RecordRequest();
-  EXPECT_TRUE(budget.TryAcquire());  // the 4th request earned one
-  EXPECT_FALSE(budget.TryAcquire());
 }
 
 // ----------------------------------------------- ModelRegistry resilience

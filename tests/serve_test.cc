@@ -912,8 +912,51 @@ TEST(RecommendServerTest, AdmissionRateLimitShedsExcessTraffic) {
   // for refill during the loop) requests must shed.
   EXPECT_GE(shed, 24u);
   const ServerStats stats = server.Snapshot();
+  EXPECT_EQ(stats.requests, 40u);
   EXPECT_EQ(stats.queue_shed, shed);
   EXPECT_GE(server.admission().rejected_rate(), shed);
+  // Shed requests never reach the cache or the scorer: only the admitted
+  // ones made a cache lookup.
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.requests - shed);
+}
+
+TEST(RecommendServerTest, UnknownUserGetsPopularitySlateAfterSwap) {
+  ModelRegistry registry;
+  registry.Publish(RandomModel(30, 40, 4, 31));
+  RecommendServer server(&registry, TestConfig(2));
+  EXPECT_EQ(server.Recommend({.user = 20, .k = 5}).rung, ServeRung::kFullTopK);
+
+  // A hot swap to a model with fewer users (as a smaller checkpoint
+  // through PublishDisentangledCheckpoint would be): user 20 has no row
+  // any more. The answer is the cold-start popularity slate, on both the
+  // sync and the pooled path, and the scorer never sees the id.
+  registry.Publish(RandomModel(10, 40, 4, 32));
+  const auto model = registry.Acquire();
+  const auto& ranking = model->popularity_ranking();
+  for (const size_t user : {size_t{20}, std::numeric_limits<size_t>::max()}) {
+    const RecommendRequest request{.user = user, .k = 5};
+    for (const Recommendation& rec :
+         {server.Recommend(request), server.Submit(request).get()}) {
+      EXPECT_EQ(rec.rung, ServeRung::kPopularity) << user;
+      EXPECT_EQ(rec.reason, DegradeReason::kUnknownUser) << user;
+      EXPECT_EQ(rec.generation, 2u);
+      ASSERT_EQ(rec.items.size(), 5u);
+      for (size_t i = 0; i < 5; ++i) {
+        EXPECT_EQ(rec.items[i].item, ranking[i]);
+        EXPECT_DOUBLE_EQ(rec.items[i].score, model->popularity(ranking[i]));
+      }
+    }
+  }
+
+  const ServerStats stats = server.Snapshot();
+  EXPECT_EQ(stats.requests, 5u);
+  EXPECT_EQ(stats.rung_full, 1u);
+  EXPECT_EQ(stats.unknown_user, 4u);
+  EXPECT_EQ(stats.rung_popularity, stats.deadline_miss + stats.unknown_user);
+  EXPECT_EQ(stats.requests, stats.rung_full + stats.rung_cached +
+                                stats.rung_popularity + stats.rung_shed);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 1u);
+  EXPECT_NE(stats.Summary().find("unknown_user=4"), std::string::npos);
 }
 
 TEST(RecommendServerTest, PerRequestDeadlineOverridesDefault) {

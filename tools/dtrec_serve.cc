@@ -40,8 +40,8 @@
 //   --alerts-out <path>    run the telemetry watchdog during the serve
 //                          loop, streaming dtrec-alerts-v1 JSONL
 //   --watch-rules <path>   watchdog rules file (obs/watchdog.h grammar);
-//                          default: shed-rate spike, scorer-breaker
-//                          transition storm, propensity-clip drift
+//                          default: shed-rate spike, propensity-clip
+//                          drift
 
 #include <cstdio>
 #include <cstdlib>
@@ -140,13 +140,11 @@ void AddStageRow(TableWriter* table, const std::string& stage,
                  FormatDouble(s.max_us, 1)});
 }
 
-/// Default watchdog rules for the serve loop: overload symptoms (shed
-/// spike, breaker-transition storm) plus the paper's propensity-clip
-/// drift, evaluated over half-second windows.
+/// Default watchdog rules for the serve loop: the overload symptom (shed
+/// spike) plus the paper's propensity-clip drift, evaluated over
+/// half-second windows.
 constexpr const char* kDefaultServeWatchRules =
     "shed_spike: rate:serve.rung_shed/serve.requests, 0.5, 0.25, above\n"
-    "breaker_storm: delta:serve.breaker.scorer.open_transitions, "
-    "0.5, 5, above\n"
     "clip_drift: drift:rate:propensity.clip.fired/propensity.clip.total, "
     "0.5, 0.05, above\n";
 
