@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "experiments/config.h"
+#include "obs/telemetry_validate.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/table_writer.h"
@@ -87,15 +89,9 @@ inline std::vector<uint64_t> MakeSeeds(size_t n) {
 // Machine-readable kernel timings so the repo has a recorded baseline to
 // regress against: one file per bench family, schema-versioned, build
 // flavor stamped (numbers from a guarded or sanitized build must never be
-// compared against a Release baseline). The emitter and the structural
-// validator live together so the `bench-smoke` CTest leg can round-trip
-// what it wrote.
-
-// v3: the serving top-K rows are the one exact sweep ("pruned") against
-// the BruteForceTopK oracle ("naive") on a skewed- and a flat-norm
-// catalogue; v2's int8 rows and recall@K column are gone. The validator
-// requires the exact tag, so a stale v2 (or v1) document is rejected.
-inline constexpr const char* kKernelBenchSchema = "dtrec-bench-kernels-v3";
+// compared against a Release baseline). The schema tag and the structural
+// validator live in obs/telemetry_validate.h beside the serving bench's,
+// so the `bench-smoke` CTest leg round-trips what this writer emits.
 
 /// One timed kernel configuration. `speedup_vs_naive` is 1.0 for the
 /// naive reference rows themselves.
@@ -146,7 +142,7 @@ inline std::string KernelResultsToJson(
     const std::vector<KernelBenchResult>& results) {
   std::string out;
   out += "{\n";
-  out += "  \"schema\": \"" + std::string(kKernelBenchSchema) + "\",\n";
+  out += "  \"schema\": \"" + std::string(obs::kKernelBenchSchema) + "\",\n";
   out += "  \"build\": " + BuildFlavorJson() + ",\n";
   out += "  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
@@ -167,210 +163,8 @@ inline std::string KernelResultsToJson(
 }
 
 namespace json_internal {
-
-/// Minimal recursive-descent JSON checker: verifies well-formedness and
-/// lets the schema validator walk the document. Values are left as raw
-/// token text; only the structure the validator needs is materialized.
-struct JsonCursor {
-  const std::string& s;
-  size_t i = 0;
-  bool ok = true;
-
-  void SkipWs() {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t' ||
-                            s[i] == '\r')) {
-      ++i;
-    }
-  }
-  bool Eat(char c) {
-    SkipWs();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    ok = false;
-    return false;
-  }
-  bool Peek(char c) {
-    SkipWs();
-    return i < s.size() && s[i] == c;
-  }
-  std::string ParseString() {
-    if (!Eat('"')) return "";
-    std::string out;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\' && i + 1 < s.size()) ++i;
-      out += s[i++];
-    }
-    if (!Eat('"')) ok = false;
-    return out;
-  }
-  double ParseNumber() {
-    SkipWs();
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str() + i, &end);
-    if (end == s.c_str() + i) {
-      ok = false;
-      return 0.0;
-    }
-    i = static_cast<size_t>(end - s.c_str());
-    return v;
-  }
-  void SkipValue();  // forward-declared, mutually recursive
-
-  /// Parses an object into key -> raw value handled by `fn(key)`; the
-  /// callback must consume the value via the cursor.
-  template <typename Fn>
-  void ParseObject(Fn&& fn) {
-    if (!Eat('{')) return;
-    if (Peek('}')) {
-      Eat('}');
-      return;
-    }
-    while (ok) {
-      const std::string key = ParseString();
-      if (!Eat(':')) return;
-      fn(key);
-      if (Peek(',')) {
-        Eat(',');
-        continue;
-      }
-      Eat('}');
-      return;
-    }
-  }
-};
-
-inline void JsonCursor::SkipValue() {
-  SkipWs();
-  if (i >= s.size()) {
-    ok = false;
-    return;
-  }
-  const char c = s[i];
-  if (c == '"') {
-    ParseString();
-  } else if (c == '{') {
-    ParseObject([this](const std::string&) { SkipValue(); });
-  } else if (c == '[') {
-    Eat('[');
-    if (Peek(']')) {
-      Eat(']');
-      return;
-    }
-    while (ok) {
-      SkipValue();
-      if (Peek(',')) {
-        Eat(',');
-        continue;
-      }
-      Eat(']');
-      return;
-    }
-  } else if (s.compare(i, 4, "true") == 0) {
-    i += 4;
-  } else if (s.compare(i, 5, "false") == 0) {
-    i += 5;
-  } else if (s.compare(i, 4, "null") == 0) {
-    i += 4;
-  } else {
-    ParseNumber();
-  }
-}
-
+using JsonCursor = json::Cursor;  // the name benchmark/ reads through
 }  // namespace json_internal
-
-/// Structural schema validation of a BENCH_kernels.json document: schema
-/// tag (exact v3 match — v2 and v1 files fail here), build stamp with the
-/// four flavor fields, and a non-empty results array whose entries carry
-/// the kernel/variant strings, the three shape dims and positive timings.
-/// Returns OK or a message naming the first violation.
-inline Status ValidateKernelBenchJson(const std::string& content) {
-  using json_internal::JsonCursor;
-  JsonCursor cur{content};
-  std::string schema;
-  bool saw_build = false;
-  std::vector<std::string> build_keys;
-  size_t num_results = 0;
-  std::string error;
-
-  cur.ParseObject([&](const std::string& key) {
-    if (key == "schema") {
-      schema = cur.ParseString();
-    } else if (key == "build") {
-      saw_build = true;
-      cur.ParseObject([&](const std::string& bk) {
-        build_keys.push_back(bk);
-        cur.SkipValue();
-      });
-    } else if (key == "results") {
-      if (!cur.Eat('[')) return;
-      if (cur.Peek(']')) {
-        cur.Eat(']');
-        return;
-      }
-      while (cur.ok) {
-        bool has_kernel = false, has_variant = false;
-        size_t dims = 0;
-        double ns = -1.0, gflops = -1.0;
-        cur.ParseObject([&](const std::string& rk) {
-          if (rk == "kernel") {
-            has_kernel = !cur.ParseString().empty();
-          } else if (rk == "variant") {
-            const std::string v = cur.ParseString();
-            has_variant = v == "blocked" || v == "naive" || v == "pruned";
-          } else if (rk == "m" || rk == "k" || rk == "n") {
-            if (cur.ParseNumber() >= 0.0) ++dims;
-          } else if (rk == "ns_per_op") {
-            ns = cur.ParseNumber();
-          } else if (rk == "gflops") {
-            gflops = cur.ParseNumber();
-          } else {
-            cur.SkipValue();
-          }
-        });
-        if (!(has_kernel && has_variant && dims == 3 && ns > 0.0 &&
-              gflops >= 0.0)) {
-          if (error.empty()) {
-            error = "results[" + std::to_string(num_results) +
-                    "] missing kernel/variant/m/k/n or non-positive timing";
-          }
-        }
-        ++num_results;
-        if (cur.Peek(',')) {
-          cur.Eat(',');
-          continue;
-        }
-        cur.Eat(']');
-        return;
-      }
-    } else {
-      cur.SkipValue();
-    }
-  });
-
-  if (!cur.ok) return Status::InvalidArgument("malformed JSON");
-  if (!error.empty()) return Status::InvalidArgument(error);
-  if (schema != kKernelBenchSchema) {
-    return Status::InvalidArgument("schema tag is '" + schema +
-                                   "', expected '" + kKernelBenchSchema +
-                                   "'");
-  }
-  if (!saw_build) return Status::InvalidArgument("missing build stamp");
-  for (const char* required :
-       {"build_type", "sanitizers", "numeric_checks", "failpoints"}) {
-    bool found = false;
-    for (const std::string& k : build_keys) found |= k == required;
-    if (!found) {
-      return Status::InvalidArgument(std::string("build stamp missing '") +
-                                     required + "'");
-    }
-  }
-  if (num_results == 0) {
-    return Status::InvalidArgument("results array is empty");
-  }
-  return Status::OK();
-}
 
 }  // namespace dtrec::bench
 

@@ -284,13 +284,13 @@ int ValidateFile(const std::string& path) {
                  read.ToString().c_str());
     return 1;
   }
-  const Status st = bench::ValidateKernelBenchJson(content);
+  const Status st = obs::ValidateKernelBenchJson(content);
   if (!st.ok()) {
     std::fprintf(stderr, "%s: schema validation FAILED: %s\n", path.c_str(),
                  st.ToString().c_str());
     return 1;
   }
-  std::printf("%s: schema %s OK\n", path.c_str(), bench::kKernelBenchSchema);
+  std::printf("%s: schema %s OK\n", path.c_str(), obs::kKernelBenchSchema);
   return 0;
 }
 

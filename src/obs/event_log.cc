@@ -1,66 +1,29 @@
 #include "obs/event_log.h"
 
-#include <cmath>
 #include <sstream>
 
+#include "util/json.h"
 #include "util/string_util.h"
 
 namespace dtrec::obs {
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "0";
-  return StrFormat("%.17g", v);
-}
-
-}  // namespace
-
 std::string TrainEventToJsonLine(const TrainEvent& event) {
   std::ostringstream os;
   os << "{\"schema\": \"dtrec-train-events-v1\""
-     << ", \"method\": \"" << JsonEscape(event.method) << "\""
+     << ", \"method\": \"" << json::Escape(event.method) << "\""
      << ", \"epoch\": " << event.epoch << ", \"steps\": " << event.steps
-     << ", \"wall_s\": " << JsonNumber(event.wall_seconds)
-     << ", \"lr\": " << JsonNumber(event.learning_rate) << ", \"losses\": {";
+     << ", \"wall_s\": " << json::Number(event.wall_seconds)
+     << ", \"lr\": " << json::Number(event.learning_rate) << ", \"losses\": {";
   bool first = true;
   for (const auto& [name, value] : event.losses) {
     if (!first) os << ", ";
     first = false;
-    os << "\"" << JsonEscape(name) << "\": " << JsonNumber(value);
+    os << "\"" << json::Escape(name) << "\": " << json::Number(value);
   }
-  os << "}, \"grad_norm\": " << JsonNumber(event.grad_norm)
+  os << "}, \"grad_norm\": " << json::Number(event.grad_norm)
      << ", \"propensity_clip\": {\"total\": " << event.clip_total
      << ", \"fired\": " << event.clip_fired
-     << ", \"rate\": " << JsonNumber(event.clip_rate) << "}"
+     << ", \"rate\": " << json::Number(event.clip_rate) << "}"
      << StrFormat(", \"rng_cursor\": \"0x%016llx\"",
                   static_cast<unsigned long long>(event.rng_cursor))
      << "}\n";

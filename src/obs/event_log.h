@@ -59,7 +59,7 @@ class TrainEventLog {
 
  private:
   std::string path_;
-  std::ofstream out_;  // dtrec-lint: allow(raw-ofstream-write)
+  std::ofstream out_;  // dtrec-analyze: allow(raw-ofstream-write)
 };
 
 }  // namespace dtrec::obs

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "obs/prop_stats.h"
+#include "util/json.h"
 #include "util/string_util.h"
 
 namespace dtrec::obs {
@@ -14,41 +15,6 @@ std::atomic<uint64_t> g_propensity_clip_fired{0};
 }  // namespace internal
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-/// JSON has no Inf/NaN literals; a gauge holding one would corrupt the
-/// whole exposition, so non-finite values export as 0.
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "0";
-  return StrFormat("%.17g", v);
-}
 
 /// Prometheus metric names are [a-zA-Z_:][a-zA-Z0-9_:]*; dtrec's
 /// dot-separated names map onto that with '.' (and anything else exotic)
@@ -134,14 +100,14 @@ std::string MetricsRegistry::DumpJson() const {
   for (const auto& [name, counter] : counters_) {
     if (!first) os << ", ";
     first = false;
-    os << "\"" << JsonEscape(name) << "\": " << counter.Value();
+    os << "\"" << json::Escape(name) << "\": " << counter.Value();
   }
   os << "}, \"gauges\": {";
   first = true;
   for (const auto& [name, gauge] : gauges_) {
     if (!first) os << ", ";
     first = false;
-    os << "\"" << JsonEscape(name) << "\": " << JsonNumber(gauge.Value());
+    os << "\"" << json::Escape(name) << "\": " << json::Number(gauge.Value());
   }
   os << "}, \"histograms\": {";
   first = true;
@@ -149,13 +115,13 @@ std::string MetricsRegistry::DumpJson() const {
     if (!first) os << ", ";
     first = false;
     const Histogram::Summary s = hist.Summarize();
-    os << "\"" << JsonEscape(name) << "\": {\"count\": " << s.count
-       << ", \"mean\": " << JsonNumber(s.mean_us)
-       << ", \"p50\": " << JsonNumber(s.p50_us)
-       << ", \"p95\": " << JsonNumber(s.p95_us)
-       << ", \"p99\": " << JsonNumber(s.p99_us)
-       << ", \"p999\": " << JsonNumber(s.p999_us)
-       << ", \"max\": " << JsonNumber(s.max_us) << "}";
+    os << "\"" << json::Escape(name) << "\": {\"count\": " << s.count
+       << ", \"mean\": " << json::Number(s.mean_us)
+       << ", \"p50\": " << json::Number(s.p50_us)
+       << ", \"p95\": " << json::Number(s.p95_us)
+       << ", \"p99\": " << json::Number(s.p99_us)
+       << ", \"p999\": " << json::Number(s.p999_us)
+       << ", \"max\": " << json::Number(s.max_us) << "}";
   }
   os << "}}\n";
   return os.str();

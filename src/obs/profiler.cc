@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "util/json.h"
 #include "util/string_util.h"
 
 // Sanitizer guard (documented in profiler.h): TSan and ASan intercept
@@ -244,27 +245,6 @@ ProfileReport CollectProfile() { return {}; }
 
 #endif  // DTREC_PROFILER_SUPPORTED
 
-namespace {
-
-std::string ProfileJsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    if (c == '"') {
-      out += "\\\"";
-    } else if (c == '\\') {
-      out += "\\\\";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += StrFormat("\\u%04x", c);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string CollapsedStacks(const ProfileReport& report) {
   std::ostringstream os;
   for (const ProfileStack& stack : report.stacks) {
@@ -292,7 +272,7 @@ std::string ProfileJson(const ProfileReport& report) {
     for (const std::string& frame : stack.frames) {
       if (!first_frame) os << ", ";
       first_frame = false;
-      os << "\"" << ProfileJsonEscape(frame) << "\"";
+      os << "\"" << json::Escape(frame) << "\"";
     }
     os << "], \"count\": " << stack.count << "}";
   }

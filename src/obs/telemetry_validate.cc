@@ -1,122 +1,11 @@
 #include "obs/telemetry_validate.h"
 
-#include <cstdlib>
 #include <vector>
+
+#include "util/json.h"
 
 namespace dtrec::obs {
 namespace {
-
-/// Minimal recursive-descent JSON checker (same shape as the one in
-/// bench/bench_common.h, which src/ cannot include): verifies
-/// well-formedness and lets the schema validators walk the document.
-struct JsonCursor {
-  const std::string& s;
-  size_t i = 0;
-  bool ok = true;
-
-  void SkipWs() {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t' ||
-                            s[i] == '\r')) {
-      ++i;
-    }
-  }
-  bool Eat(char c) {
-    SkipWs();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    ok = false;
-    return false;
-  }
-  bool Peek(char c) {
-    SkipWs();
-    return i < s.size() && s[i] == c;
-  }
-  bool AtEnd() {
-    SkipWs();
-    return i >= s.size();
-  }
-  std::string ParseString() {
-    if (!Eat('"')) return "";
-    std::string out;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\' && i + 1 < s.size()) ++i;
-      out += s[i++];
-    }
-    if (!Eat('"')) ok = false;
-    return out;
-  }
-  double ParseNumber() {
-    SkipWs();
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str() + i, &end);
-    if (end == s.c_str() + i) {
-      ok = false;
-      return 0.0;
-    }
-    i = static_cast<size_t>(end - s.c_str());
-    return v;
-  }
-  void SkipValue();  // forward-declared, mutually recursive
-
-  template <typename Fn>
-  void ParseObject(Fn&& fn) {
-    if (!Eat('{')) return;
-    if (Peek('}')) {
-      Eat('}');
-      return;
-    }
-    while (ok) {
-      const std::string key = ParseString();
-      if (!Eat(':')) return;
-      fn(key);
-      if (Peek(',')) {
-        Eat(',');
-        continue;
-      }
-      Eat('}');
-      return;
-    }
-  }
-};
-
-void JsonCursor::SkipValue() {
-  SkipWs();
-  if (i >= s.size()) {
-    ok = false;
-    return;
-  }
-  const char c = s[i];
-  if (c == '"') {
-    ParseString();
-  } else if (c == '{') {
-    ParseObject([this](const std::string&) { SkipValue(); });
-  } else if (c == '[') {
-    Eat('[');
-    if (Peek(']')) {
-      Eat(']');
-      return;
-    }
-    while (ok) {
-      SkipValue();
-      if (Peek(',')) {
-        Eat(',');
-        continue;
-      }
-      Eat(']');
-      return;
-    }
-  } else if (s.compare(i, 4, "true") == 0) {
-    i += 4;
-  } else if (s.compare(i, 5, "false") == 0) {
-    i += 5;
-  } else if (s.compare(i, 4, "null") == 0) {
-    i += 4;
-  } else {
-    ParseNumber();
-  }
-}
 
 std::vector<std::string> SplitNonEmptyLines(const std::string& s) {
   std::vector<std::string> lines;
@@ -138,7 +27,7 @@ std::vector<std::string> SplitNonEmptyLines(const std::string& s) {
 Status ValidateTraceJson(const std::string& content, size_t* num_events,
                          std::set<std::string>* span_names,
                          std::map<std::string, size_t>* trace_id_events) {
-  JsonCursor cur{content};
+  json::Cursor cur{content};
   bool saw_events_array = false;
   size_t events = 0;
   std::string error;
@@ -151,12 +40,7 @@ Status ValidateTraceJson(const std::string& content, size_t* num_events,
       return;
     }
     saw_events_array = true;
-    if (!cur.Eat('[')) return;
-    if (cur.Peek(']')) {
-      cur.Eat(']');
-      return;
-    }
-    while (cur.ok) {
+    cur.ParseArray([&] {
       std::string name, ph;
       bool has_ts = false, has_dur = false, has_pid = false, has_tid = false;
       double ts = -1.0, dur = -1.0;
@@ -205,13 +89,7 @@ Status ValidateTraceJson(const std::string& content, size_t* num_events,
       }
       names.insert(name);
       ++events;
-      if (cur.Peek(',')) {
-        cur.Eat(',');
-        continue;
-      }
-      cur.Eat(']');
-      return;
-    }
+    });
   });
 
   if (!cur.ok || !cur.AtEnd()) {
@@ -234,7 +112,7 @@ Status ValidateAlertsJsonl(const std::string& content, size_t* num_records,
   std::set<std::string> rules;
   std::set<std::string> ctxs;
   for (size_t ln = 0; ln < lines.size(); ++ln) {
-    JsonCursor cur{lines[ln]};
+    json::Cursor cur{lines[ln]};
     std::string schema, rule, expr, direction, context;
     bool saw_context = false, has_baseline = false;
     bool has_value = false, has_threshold = false, has_window = false,
@@ -306,7 +184,7 @@ Status ValidateAlertsJsonl(const std::string& content, size_t* num_records,
 
 Status ValidateProfileJson(const std::string& content, size_t* num_samples,
                            std::set<std::string>* frame_names) {
-  JsonCursor cur{content};
+  json::Cursor cur{content};
   std::string schema;
   bool has_interval = false, has_samples = false, has_dropped = false;
   bool saw_stacks = false;
@@ -327,34 +205,18 @@ Status ValidateProfileJson(const std::string& content, size_t* num_samples,
       has_dropped = cur.ParseNumber() >= 0.0;
     } else if (key == "stacks") {
       saw_stacks = true;
-      if (!cur.Eat('[')) return;
-      if (cur.Peek(']')) {
-        cur.Eat(']');
-        return;
-      }
-      while (cur.ok) {
+      cur.ParseArray([&] {
         size_t num_frames = 0;
         bool frames_ok = true;
         double count = 0.0;
         cur.ParseObject([&](const std::string& sk) {
           if (sk == "frames") {
-            if (!cur.Eat('[')) return;
-            if (cur.Peek(']')) {
-              cur.Eat(']');
-              return;
-            }
-            while (cur.ok) {
+            cur.ParseArray([&] {
               const std::string frame = cur.ParseString();
               if (frame.empty()) frames_ok = false;
               frames_seen.insert(frame);
               ++num_frames;
-              if (cur.Peek(',')) {
-                cur.Eat(',');
-                continue;
-              }
-              cur.Eat(']');
-              return;
-            }
+            });
           } else if (sk == "count") {
             count = cur.ParseNumber();
           } else {
@@ -366,13 +228,7 @@ Status ValidateProfileJson(const std::string& content, size_t* num_samples,
                   "] needs non-empty string frames and count >= 1";
         }
         ++stack_index;
-        if (cur.Peek(',')) {
-          cur.Eat(',');
-          continue;
-        }
-        cur.Eat(']');
-        return;
-      }
+      });
     } else {
       cur.SkipValue();
     }
@@ -404,7 +260,7 @@ Status ValidateTrainEventsJsonl(const std::string& content,
   }
   std::set<std::string> keys;
   for (size_t ln = 0; ln < lines.size(); ++ln) {
-    JsonCursor cur{lines[ln]};
+    json::Cursor cur{lines[ln]};
     std::string schema, method;
     bool has_epoch = false, has_steps = false, has_losses = false;
     bool has_grad_norm = false, has_cursor = false;
@@ -479,7 +335,7 @@ Status ValidateTrainEventsJsonl(const std::string& content,
 }
 
 Status ValidateMetricsJson(const std::string& content) {
-  JsonCursor cur{content};
+  json::Cursor cur{content};
   std::string schema;
   bool saw_counters = false, saw_gauges = false, saw_histograms = false;
   std::string error;
@@ -535,7 +391,7 @@ Status ValidateMetricsJson(const std::string& content) {
 
 Status ValidateServingBenchJson(const std::string& content,
                                 ServingBenchGateInputs* gate) {
-  JsonCursor cur{content};
+  json::Cursor cur{content};
   std::string schema;
   bool saw_build = false, saw_config = false, saw_summary = false;
   bool build_type = false, sanitizers = false, numeric_checks = false,
@@ -578,12 +434,7 @@ Status ValidateServingBenchJson(const std::string& content,
         }
       });
     } else if (key == "phases") {
-      if (!cur.Eat('[')) return;
-      if (cur.Peek(']')) {
-        cur.Eat(']');
-        return;
-      }
-      while (cur.ok) {
+      cur.ParseArray([&] {
         std::string name;
         bool requests = false, elapsed = false;
         int percentiles = 0, rates = 0;
@@ -620,13 +471,7 @@ Status ValidateServingBenchJson(const std::string& content,
         if (name == "capacity") parsed.capacity_p99_us = p99_us;
         if (name == "saturation_flood") parsed.saturation_shed_rate = shed_rate;
         ++parsed.num_phases;
-        if (cur.Peek(',')) {
-          cur.Eat(',');
-          continue;
-        }
-        cur.Eat(']');
-        return;
-      }
+      });
     } else if (key == "summary") {
       saw_summary = true;
       cur.ParseObject([&](const std::string& sk) {
@@ -664,20 +509,88 @@ Status ValidateServingBenchJson(const std::string& content,
   return Status::OK();
 }
 
+Status ValidateKernelBenchJson(const std::string& content) {
+  json::Cursor cur{content};
+  std::string schema;
+  bool saw_build = false;
+  std::set<std::string> build_keys;
+  size_t num_results = 0;
+  std::string error;
+
+  cur.ParseObject([&](const std::string& key) {
+    if (key == "schema") {
+      schema = cur.ParseString();
+    } else if (key == "build") {
+      saw_build = true;
+      cur.ParseObject([&](const std::string& bk) {
+        build_keys.insert(bk);
+        cur.SkipValue();
+      });
+    } else if (key == "results") {
+      cur.ParseArray([&] {
+        bool has_kernel = false, has_variant = false;
+        size_t dims = 0;
+        double ns = -1.0, gflops = -1.0;
+        cur.ParseObject([&](const std::string& rk) {
+          if (rk == "kernel") {
+            has_kernel = !cur.ParseString().empty();
+          } else if (rk == "variant") {
+            const std::string v = cur.ParseString();
+            has_variant = v == "blocked" || v == "naive" || v == "pruned";
+          } else if (rk == "m" || rk == "k" || rk == "n") {
+            if (cur.ParseNumber() >= 0.0) ++dims;
+          } else if (rk == "ns_per_op") {
+            ns = cur.ParseNumber();
+          } else if (rk == "gflops") {
+            gflops = cur.ParseNumber();
+          } else {
+            cur.SkipValue();
+          }
+        });
+        if (error.empty() && !(has_kernel && has_variant && dims == 3 &&
+                               ns > 0.0 && gflops >= 0.0)) {
+          error = "results[" + std::to_string(num_results) +
+                  "] missing kernel/variant/m/k/n or non-positive timing";
+        }
+        ++num_results;
+      });
+    } else {
+      cur.SkipValue();
+    }
+  });
+
+  if (!cur.ok || !cur.AtEnd()) {
+    return Status::InvalidArgument("malformed kernel bench JSON");
+  }
+  if (!error.empty()) return Status::InvalidArgument(error);
+  if (schema != kKernelBenchSchema) {
+    return Status::InvalidArgument("schema tag is '" + schema +
+                                   "', expected '" + kKernelBenchSchema +
+                                   "'");
+  }
+  if (!saw_build) return Status::InvalidArgument("missing build stamp");
+  for (const char* required :
+       {"build_type", "sanitizers", "numeric_checks", "failpoints"}) {
+    if (build_keys.count(required) == 0) {
+      return Status::InvalidArgument(std::string("build stamp missing '") +
+                                     required + "'");
+    }
+  }
+  if (num_results == 0) {
+    return Status::InvalidArgument("results array is empty");
+  }
+  return Status::OK();
+}
+
 namespace {
 
 /// Serving rows: per-phase closed-loop throughput (requests / elapsed_s,
 /// higher better) and p99 (lower better), plus the summary's per-core SLO
 /// throughput.
-void ExtractServingRows(JsonCursor* cur, std::vector<BenchDiffRow>* rows) {
+void ExtractServingRows(json::Cursor* cur, std::vector<BenchDiffRow>* rows) {
   cur->ParseObject([&](const std::string& key) {
     if (key == "phases") {
-      if (!cur->Eat('[')) return;
-      if (cur->Peek(']')) {
-        cur->Eat(']');
-        return;
-      }
-      while (cur->ok) {
+      cur->ParseArray([&] {
         std::string name;
         double requests = 0.0, elapsed = 0.0, p99 = -1.0;
         cur->ParseObject([&](const std::string& pk) {
@@ -700,13 +613,7 @@ void ExtractServingRows(JsonCursor* cur, std::vector<BenchDiffRow>* rows) {
         if (!name.empty() && p99 >= 0.0) {
           rows->push_back({name + ".p99_us", p99, false});
         }
-        if (cur->Peek(',')) {
-          cur->Eat(',');
-          continue;
-        }
-        cur->Eat(']');
-        return;
-      }
+      });
     } else if (key == "summary") {
       cur->ParseObject([&](const std::string& sk) {
         if (sk == "per_core_users_per_sec_at_slo") {
@@ -725,18 +632,13 @@ void ExtractServingRows(JsonCursor* cur, std::vector<BenchDiffRow>* rows) {
 
 /// Kernel rows: gflops per kernel/variant/shape (higher better); a row
 /// without a positive gflops falls back to ns_per_op (lower better).
-void ExtractKernelRows(JsonCursor* cur, std::vector<BenchDiffRow>* rows) {
+void ExtractKernelRows(json::Cursor* cur, std::vector<BenchDiffRow>* rows) {
   cur->ParseObject([&](const std::string& key) {
     if (key != "results") {
       cur->SkipValue();
       return;
     }
-    if (!cur->Eat('[')) return;
-    if (cur->Peek(']')) {
-      cur->Eat(']');
-      return;
-    }
-    while (cur->ok) {
+    cur->ParseArray([&] {
       std::string kernel, variant;
       double m = 0.0, k = 0.0, n = 0.0, gflops = 0.0, ns_per_op = 0.0;
       cur->ParseObject([&](const std::string& rk) {
@@ -771,13 +673,7 @@ void ExtractKernelRows(JsonCursor* cur, std::vector<BenchDiffRow>* rows) {
           rows->push_back({base + ".ns_per_op", ns_per_op, false});
         }
       }
-      if (cur->Peek(',')) {
-        cur->Eat(',');
-        continue;
-      }
-      cur->Eat(']');
-      return;
-    }
+    });
   });
 }
 
@@ -788,7 +684,7 @@ Status ExtractBenchRows(const std::string& content, std::string* schema,
   // First pass: just the schema tag.
   std::string tag;
   {
-    JsonCursor cur{content};
+    json::Cursor cur{content};
     cur.ParseObject([&](const std::string& key) {
       if (key == "schema") {
         tag = cur.ParseString();
@@ -801,10 +697,10 @@ Status ExtractBenchRows(const std::string& content, std::string* schema,
     }
   }
   rows->clear();
-  JsonCursor cur{content};
+  json::Cursor cur{content};
   if (tag == kServingBenchSchema) {
     ExtractServingRows(&cur, rows);
-  } else if (tag == "dtrec-bench-kernels-v3") {
+  } else if (tag == kKernelBenchSchema) {
     ExtractKernelRows(&cur, rows);
   } else {
     return Status::InvalidArgument("unsupported bench schema '" + tag + "'");

@@ -11,11 +11,11 @@
 
 // Structural validators for the telemetry artifacts (trace JSON, training
 // event JSONL, metrics JSON, alerts JSONL, profile JSON, bench JSONs).
-// Same recursive-descent-checker idiom as bench_common.h's kernel-bench
-// validator: verify shape and required keys, not values. Wired into CI
-// through `dtrec_cli validate` so an emitted artifact that
-// chrome://tracing or a JSONL consumer would choke on fails the pipeline
-// instead of shipping.
+// Each walks its document with util/json.h's strict reader and checks
+// shape and required keys, plus the few ranges callers gate on. Wired
+// into CI through `dtrec_cli validate` and the bench `--validate` modes,
+// so an emitted artifact that chrome://tracing or a JSONL consumer would
+// choke on fails the pipeline instead of shipping.
 
 namespace dtrec::obs {
 
@@ -94,6 +94,19 @@ inline constexpr const char* kServingBenchSchema = "dtrec-bench-serving-v2";
 Status ValidateServingBenchJson(const std::string& content,
                                 ServingBenchGateInputs* gate = nullptr);
 
+/// Schema tag of the kernel micro-bench JSON (BENCH_kernels.json). v3:
+/// the serving top-K rows are the one exact sweep ("pruned") against the
+/// BruteForceTopK oracle ("naive") on a skewed- and a flat-norm
+/// catalogue; v2's int8 rows and recall@K column are gone. Any other tag
+/// is rejected.
+inline constexpr const char* kKernelBenchSchema = "dtrec-bench-kernels-v3";
+
+/// Kernel micro-bench JSON: kKernelBenchSchema, a build stamp with the
+/// four flavor fields, and a non-empty results array whose entries carry
+/// the kernel/variant strings, the three shape dims and positive timings.
+/// Returns OK or a message naming the first violation.
+Status ValidateKernelBenchJson(const std::string& content);
+
 /// One comparable perf row extracted from a bench JSON for bench-diff.
 struct BenchDiffRow {
   std::string name;  ///< e.g. "capacity.users_per_sec", "gemm/blocked/….gflops"
@@ -101,9 +114,9 @@ struct BenchDiffRow {
   bool higher_is_better = true;
 };
 
-/// Extracts comparable rows from a dtrec-bench-serving-v2 JSON (per-phase
+/// Extracts comparable rows from a kServingBenchSchema JSON (per-phase
 /// users_per_sec and p99_us, plus the summary per-core SLO throughput) or
-/// a dtrec-bench-kernels-v3 JSON (per kernel/variant/shape gflops).
+/// a kKernelBenchSchema JSON (per kernel/variant/shape gflops).
 /// `schema` (optional) receives the detected tag so callers can refuse to
 /// diff across schemas.
 Status ExtractBenchRows(const std::string& content, std::string* schema,

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "util/json.h"
 #include "util/string_util.h"
 
 namespace dtrec::obs {
@@ -147,15 +148,17 @@ Status ParseWatchdogRules(const std::string& text,
 
 std::string AlertJsonLine(const AlertEvent& event) {
   std::ostringstream os;
-  os << "{\"schema\": \"dtrec-alerts-v1\", \"rule\": \"" << event.rule
-     << "\", \"expr\": \"" << event.expr << "\", \"context\": \""
-     << event.context << "\", \"value\": " << StrFormat("%.6g", event.value)
-     << ", \"threshold\": " << StrFormat("%.6g", event.threshold)
-     << ", \"direction\": \"" << event.direction
-     << "\", \"window_s\": " << StrFormat("%.6g", event.window_s)
+  os << "{\"schema\": \"dtrec-alerts-v1\", \"rule\": \""
+     << json::Escape(event.rule) << "\", \"expr\": \""
+     << json::Escape(event.expr) << "\", \"context\": \""
+     << json::Escape(event.context)
+     << "\", \"value\": " << json::Number(event.value)
+     << ", \"threshold\": " << json::Number(event.threshold)
+     << ", \"direction\": \"" << json::Escape(event.direction)
+     << "\", \"window_s\": " << json::Number(event.window_s)
      << ", \"baseline\": "
-     << (event.has_baseline ? StrFormat("%.6g", event.baseline) : "null")
-     << ", \"at_s\": " << StrFormat("%.6g", event.at_s) << "}";
+     << (event.has_baseline ? json::Number(event.baseline) : "null")
+     << ", \"at_s\": " << json::Number(event.at_s) << "}";
   return os.str();
 }
 

@@ -172,7 +172,7 @@ class Watchdog {
   std::string context_ DTREC_GUARDED_BY(mu_);
   // Streaming JSONL sink: deliberately non-atomic — alerts must hit disk
   // as they fire, not in one post-crash commit.
-  // dtrec-lint: allow(raw-ofstream-write)
+  // dtrec-analyze: allow(raw-ofstream-write)
   std::ofstream sink_ DTREC_GUARDED_BY(mu_);
   bool stop_ DTREC_GUARDED_BY(mu_) = false;
   bool started_ DTREC_GUARDED_BY(mu_) = false;

@@ -45,11 +45,12 @@ inline double BinaryCrossEntropy(double y, double p) {
 }
 
 /// Safe reciprocal: 1 / max(v, floor). The blessed way to invert a learned
-/// propensity-like quantity (enforced by tools/dtrec_lint); the floor keeps
-/// the inverse finite when the estimate collapses toward zero. Every call
-/// feeds the process-wide clip counters (obs/prop_stats.h) — the floored
-/// fraction is the extreme-inverse-propensity-variance early-warning
-/// signal exported via metrics and the training event stream.
+/// propensity-like quantity (enforced by dtrec_analyze's propensity-taint
+/// rule); the floor keeps the inverse finite when the estimate collapses
+/// toward zero. Every call feeds the process-wide clip counters
+/// (obs/prop_stats.h) — the floored fraction is the
+/// extreme-inverse-propensity-variance early-warning signal exported via
+/// metrics and the training event stream.
 inline double SafeInverse(double v, double floor = 1e-12) {
   const bool fired = v < floor;
   obs::RecordPropensityClip(fired);

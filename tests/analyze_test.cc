@@ -109,8 +109,8 @@ double F(double x, double p_hat) {
 }
 
 TEST(TaintTest, AliasPropagatesTaint) {
-  // The lint-level rule only matches the divisor's head identifier; the
-  // dataflow pass follows the assignment w = p_hat.
+  // The divisor's own name matches no lexicon entry; the dataflow pass
+  // follows the assignment w = p_hat.
   const char* kSrc = R"(
 double F(double x, double p_hat) {
   double w = p_hat;
@@ -246,19 +246,32 @@ double Rate(uint64_t fired, uint64_t total, double sum, size_t n) {
   EXPECT_TRUE(Analyze("src/core/f.cc", kSrc).empty());
 }
 
-TEST(TaintTest, LintAllowCommentAlsoSilencesTaint) {
-  // An audited dtrec-lint: allow(propensity-division) site stays silent
-  // under the stronger rule — one escape hatch, not two.
+TEST(TaintTest, AllowCommentSilencesTaint) {
   const char* kSrc =
-      "double F(double x, double p_hat) {\n"
-      "  return x / p_hat;  // dtrec-lint: allow(propensity-division)\n"
-      "}\n";
-  EXPECT_TRUE(Analyze("src/core/f.cc", kSrc).empty());
-  const char* kOwnTag =
       "double F(double x, double p_hat) {\n"
       "  return x / p_hat;  // dtrec-analyze: allow(propensity-taint)\n"
       "}\n";
-  EXPECT_TRUE(Analyze("src/core/f.cc", kOwnTag).empty());
+  EXPECT_TRUE(Analyze("src/core/f.cc", kSrc).empty());
+}
+
+TEST(TaintTest, UnterminatedFinalStatementIsScanned) {
+  // Tokens after a file's last `;`, `{` or `}` form a statement too: a
+  // macro before a header's closing #endif, a file's last #define, or a
+  // final expression with no semicolon.
+  const std::vector<std::string> inputs = {
+      "#ifndef DTREC_CORE_F_H_\n"
+      "#define DTREC_CORE_F_H_\n"
+      "#define INV(x) (1.0 / propensity_of(x))\n"
+      "#endif  // DTREC_CORE_F_H_\n",
+      "#define INV(x) (1.0 / propensity_of(x))\n",
+      "#define INV(x) (1.0 / propensity_of(x))\n#define ONE 1\n",
+      "double z = 1.0 / p_hat",
+  };
+  for (const std::string& src : inputs) {
+    EXPECT_EQ(CountRule(Analyze("src/core/f.h", src), "propensity-taint"),
+              1u)
+        << src;
+  }
 }
 
 TEST(TaintTest, UnknownRuleInAllowIsUsageFinding) {
@@ -285,7 +298,7 @@ TEST(LayeringTest, ModuleTable) {
   EXPECT_EQ(ModuleRank("serve"), 5);
   EXPECT_EQ(ModuleRank("nonsense"), -1);
   EXPECT_EQ(ModuleOfPath("src/core/ips.cc"), "core");
-  EXPECT_EQ(ModuleOfPath("tools/lint/lint.cc"), "");
+  EXPECT_EQ(ModuleOfPath("tools/analysis/lexical.cc"), "");
   EXPECT_EQ(ModuleOfPath("tests/core_test.cc"), "");
   EXPECT_EQ(ModuleOfInclude("obs/metrics.h"), "obs");
   EXPECT_EQ(ModuleOfInclude("vector"), "");
@@ -392,7 +405,7 @@ struct S {
   }
 };
 )";
-  const auto findings = Analyze("src/serve/s.h", kSrc);
+  const auto findings = Analyze("src/serve/s.cc", kSrc);
   ASSERT_EQ(CountRule(findings, "lock-discipline"), 1u);
   EXPECT_EQ(findings[0].line, 5u);
 }
@@ -411,7 +424,7 @@ struct S {
   }
 };
 )";
-  const auto findings = Analyze("src/serve/s.h", kSrc);
+  const auto findings = Analyze("src/serve/s.cc", kSrc);
   ASSERT_EQ(CountRule(findings, "lock-discipline"), 1u);
   EXPECT_EQ(findings[0].line, 10u);
 }
@@ -573,6 +586,24 @@ TEST(ReportTest, ValidatorRejectsStructuralProblems) {
   EXPECT_NE(ValidateSarif(zero), "");
 }
 
+TEST(ReportTest, SarifValidatorSurvivesEveryTruncationAndByteFlip) {
+  const std::string sarif = FindingsToSarif(
+      {{"src/a.cc", 3, "propensity-taint", "raw \"division\""},
+       {"src/b.h", 7, "include-guard", "missing guard"}});
+  ASSERT_EQ(ValidateSarif(sarif), "");
+  // Returning at all is the check for mutants that stay valid; a cut
+  // before the final '}' leaves the document incomplete.
+  const size_t closing = sarif.rfind('}');
+  for (size_t len = 0; len <= closing; ++len) {
+    EXPECT_NE(ValidateSarif(sarif.substr(0, len)), "") << "cut at " << len;
+  }
+  for (size_t pos = 0; pos < sarif.size(); ++pos) {
+    std::string mutated = sarif;
+    mutated[pos] ^= static_cast<char>(0xFF);
+    (void)ValidateSarif(mutated);
+  }
+}
+
 TEST(ReportTest, HashContentIsStableFnv1a) {
   EXPECT_EQ(HashContent(""), 14695981039346656037ULL);
   EXPECT_NE(HashContent("a"), HashContent("b"));
@@ -583,7 +614,10 @@ TEST(ReportTest, KnownRulesCoverEmittedRules) {
   const auto& known = KnownRules();
   for (const char* rule :
        {"propensity-taint", "layering-upward", "layering-cycle",
-        "include-cycle", "lock-discipline", "analyze-usage"}) {
+        "include-cycle", "lock-discipline", "banned-rand", "naked-new",
+        "include-guard", "include-hygiene", "float-literal",
+        "raw-ofstream-write", "raw-stderr-logging",
+        "signal-unsafe-in-handler", "clang-tidy-config", "analyze-usage"}) {
     EXPECT_NE(std::find(known.begin(), known.end(), rule), known.end())
         << rule;
   }
@@ -614,7 +648,7 @@ struct S {
 };
 double F(double x, double p_hat) { return x / p_hat; }
 )";
-  const auto findings = Analyze("src/serve/s.h", kSrc);
+  const auto findings = Analyze("src/serve/s.cc", kSrc);
   ASSERT_EQ(findings.size(), 2u);
   EXPECT_LT(findings[0].line, findings[1].line);
 }

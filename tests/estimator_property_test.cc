@@ -209,7 +209,7 @@ TEST(EstimatorTest, NearZeroPropensityIsClippedToFiniteEstimate) {
   ASSERT_TRUE(std::isfinite(ips));
   // Floored at 1e-6: (1.0/1e-6 + 4.0/1.0) / 2. (The divisor here is the
   // clip floor itself, not a propensity estimate.)
-  // dtrec-lint: allow(propensity-division)
+  // dtrec-analyze: allow(propensity-taint)
   const double expected = 0.5 * (1.0 / kEstimatorPropensityFloor + 4.0);
   EXPECT_DOUBLE_EQ(ips, expected);
 

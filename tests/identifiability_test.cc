@@ -34,7 +34,7 @@ TEST(Example1Test, AlgebraicIdentityBehindTheExample) {
   // exp(2r−4)+1 = 1+exp(2r−4); spot-check the two factors' ratio.
   for (double r : {0.0, 1.7, 3.0, 5.2}) {
     // Closed-form oracle propensities, bounded away from zero by design.
-    // dtrec-lint: allow(propensity-division)
+    // dtrec-analyze: allow(propensity-taint)
     const double ratio_prop = Example1Propensity(Example1ModelA(), r) /
                               Example1Propensity(Example1ModelB(), r);
     const double ratio_out =

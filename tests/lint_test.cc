@@ -4,9 +4,10 @@
 #include <string>
 #include <vector>
 
-#include "lint/lint.h"
+#include "analysis/analysis.h"
+#include "analysis/lexical.h"
 
-namespace dtrec::lint {
+namespace dtrec::analysis {
 namespace {
 
 std::vector<std::string> RulesIn(const std::vector<Finding>& findings) {
@@ -22,6 +23,17 @@ size_t CountRule(const std::vector<Finding>& findings,
   return static_cast<size_t>(std::count(rules.begin(), rules.end(), rule));
 }
 
+/// Every per-file pass on one file, as dtrec_analyze runs them; the
+/// lexical rules are the subject here, the divisions are taint's.
+std::vector<Finding> LintContent(const std::string& rel_path,
+                                 const std::string& content) {
+  return AnalyzeFile(rel_path, content, "").findings;
+}
+
+std::string FindingsToJson(const std::vector<Finding>& findings) {
+  return analysis::FindingsToJson(findings, 0);
+}
+
 // ------------------------------------------------------- classification
 
 TEST(LintClassifyTest, HeadersGetCanonicalGuardName) {
@@ -30,8 +42,8 @@ TEST(LintClassifyTest, HeadersGetCanonicalGuardName) {
   EXPECT_FALSE(k.is_test);
   EXPECT_EQ(k.expected_guard, "DTREC_UTIL_MATH_UTIL_H_");
   // Outside src/ the full path is kept.
-  EXPECT_EQ(ClassifyPath("tools/lint/lint.h").expected_guard,
-            "DTREC_TOOLS_LINT_LINT_H_");
+  EXPECT_EQ(ClassifyPath("tools/analysis/lexical.h").expected_guard,
+            "DTREC_TOOLS_ANALYSIS_LEXICAL_H_");
 }
 
 TEST(LintClassifyTest, TestFilesRecognizedByDirAndStem) {
@@ -58,7 +70,7 @@ double Bad(double x, double p_hat, double inv_prop) {
 
 TEST(LintRulesTest, FixtureTriggersEveryExpectedRule) {
   const auto findings = LintContent("src/foo/fixture.cc", kFixture);
-  EXPECT_EQ(CountRule(findings, "propensity-division"), 3u);
+  EXPECT_EQ(CountRule(findings, "propensity-taint"), 3u);
   EXPECT_EQ(CountRule(findings, "banned-rand"), 1u);
   EXPECT_EQ(CountRule(findings, "naked-new"), 1u);
   EXPECT_EQ(CountRule(findings, "float-literal"), 1u);
@@ -74,7 +86,7 @@ TEST(LintRulesTest, TestFilesMayUseNakedNew) {
   const auto findings = LintContent("tests/fixture_test.cc", kFixture);
   EXPECT_EQ(CountRule(findings, "naked-new"), 0u);
   // The numeric rules still apply in tests.
-  EXPECT_EQ(CountRule(findings, "propensity-division"), 3u);
+  EXPECT_EQ(CountRule(findings, "propensity-taint"), 3u);
   EXPECT_EQ(CountRule(findings, "banned-rand"), 1u);
 }
 
@@ -88,7 +100,7 @@ double Good(double x, double p_hat) {
 }
 )FIX";
   const auto findings = LintContent("src/foo/clean.cc", kClean);
-  EXPECT_EQ(CountRule(findings, "propensity-division"), 0u);
+  EXPECT_EQ(CountRule(findings, "propensity-taint"), 0u);
 }
 
 TEST(LintRulesTest, CommentsAndStringsAreNotCode) {
@@ -132,7 +144,7 @@ void Dump(const std::string& path) {
   // ...and silenced by the usual allow-comment.
   const char* kAllowed = R"FIX(
 void Dump(const std::string& path) {
-  std::ofstream out(path);  // dtrec-lint: allow(raw-ofstream-write)
+  std::ofstream out(path);  // dtrec-analyze: allow(raw-ofstream-write)
 }
 )FIX";
   EXPECT_EQ(CountRule(LintContent("src/foo/dump.cc", kAllowed),
@@ -165,7 +177,7 @@ void Warn(const char* msg) {
             0u);
   // `cerr` inside comments or strings is not code.
   const char* kInert = R"FIX(
-// std::cerr is banned here; see lint.h
+// std::cerr is banned here; see lexical.h
 const char* kHelp = "errors go to stderr";
 )FIX";
   EXPECT_EQ(CountRule(LintContent("src/foo/help.cc", kInert),
@@ -174,7 +186,7 @@ const char* kHelp = "errors go to stderr";
   // The usual allow-comment escape hatch works.
   const char* kAllowed = R"FIX(
 void Warn(const char* msg) {
-  std::cerr << msg;  // dtrec-lint: allow(raw-stderr-logging)
+  std::cerr << msg;  // dtrec-analyze: allow(raw-stderr-logging)
 }
 )FIX";
   EXPECT_EQ(CountRule(LintContent("src/foo/warn.cc", kAllowed),
@@ -268,11 +280,11 @@ TEST(LintSignalSafeTest, UnterminatedRegionIsItselfAFinding) {
 }
 
 TEST(LintSignalSafeTest, ProseMentionOfTheMarkerDoesNotOpenARegion) {
-  // Documentation (like lint.h's own rule table) talks about the marker
+  // Documentation (like lexical.h's own rule table) talks about the marker
   // without being one; only an exact standalone marker comment counts.
   const char* kProse = R"FIX(
 // The dtrec-signal-safe-region-begin marker brackets handler code; see
-// lint.h. Everything below is ordinary code:
+// lexical.h. Everything below is ordinary code:
 void Flush() {
   std::string s = "uses banned identifiers freely";
   std::printf("%s\n", s.c_str());
@@ -287,7 +299,7 @@ TEST(LintSignalSafeTest, AllowCommentSuppresses) {
   const char* kAllowed = R"FIX(
 void Handler(int sig) {
   // dtrec-signal-safe-region-begin
-  // dtrec-lint: allow(signal-unsafe-in-handler)
+  // dtrec-analyze: allow(signal-unsafe-in-handler)
   debug_only_printf("%d\n", printf_arena);
   errno = 0;
   // dtrec-signal-safe-region-end
@@ -298,7 +310,7 @@ void Handler(int sig) {
   const char* kAllowedReal =
       "void Handler(int sig) {\n"
       "  // dtrec-signal-safe-region-begin\n"
-      "  printf(\"x\");  // dtrec-lint: allow(signal-unsafe-in-handler)\n"
+      "  printf(\"x\");  // dtrec-analyze: allow(signal-unsafe-in-handler)\n"
       "  // dtrec-signal-safe-region-end\n"
       "}\n";
   EXPECT_EQ(CountRule(LintContent("src/obs/handler.cc", kAllowed),
@@ -314,7 +326,7 @@ void Handler(int sig) {
 TEST(LintSuppressionTest, TrailingAllowSilencesThatLine) {
   const char* kSrc =
       "double F(double x, double p_hat) {\n"
-      "  return x / p_hat;  // dtrec-lint: allow(propensity-division)\n"
+      "  return x / p_hat;  // dtrec-analyze: allow(propensity-taint)\n"
       "}\n";
   EXPECT_TRUE(LintContent("src/a.cc", kSrc).empty());
 }
@@ -322,7 +334,7 @@ TEST(LintSuppressionTest, TrailingAllowSilencesThatLine) {
 TEST(LintSuppressionTest, StandaloneAllowCoversNextLine) {
   const char* kSrc =
       "double F(double x, double p_hat) {\n"
-      "  // dtrec-lint: allow(propensity-division)\n"
+      "  // dtrec-analyze: allow(propensity-taint)\n"
       "  return x / p_hat;\n"
       "}\n";
   EXPECT_TRUE(LintContent("src/a.cc", kSrc).empty());
@@ -331,11 +343,11 @@ TEST(LintSuppressionTest, StandaloneAllowCoversNextLine) {
 TEST(LintSuppressionTest, AllowAllAndMultiRuleLists) {
   const char* kSrc =
       "int* G() {\n"
-      "  // dtrec-lint: allow(naked-new, banned-rand)\n"
+      "  // dtrec-analyze: allow(naked-new, banned-rand)\n"
       "  return new int(rand());\n"
       "}\n"
       "int* H() {\n"
-      "  // dtrec-lint: allow(all)\n"
+      "  // dtrec-analyze: allow(all)\n"
       "  return new int(rand());\n"
       "}\n";
   EXPECT_TRUE(LintContent("src/a.cc", kSrc).empty());
@@ -344,7 +356,7 @@ TEST(LintSuppressionTest, AllowAllAndMultiRuleLists) {
 TEST(LintSuppressionTest, AllowDoesNotLeakBeyondNextLine) {
   const char* kSrc =
       "double F(double x, double p_hat) {\n"
-      "  // dtrec-lint: allow(propensity-division)\n"
+      "  // dtrec-analyze: allow(propensity-taint)\n"
       "  double a = x / p_hat;\n"
       "  double b = x / p_hat;\n"  // two lines below the allow: still flagged
       "  return a + b;\n"
@@ -355,15 +367,16 @@ TEST(LintSuppressionTest, AllowDoesNotLeakBeyondNextLine) {
 }
 
 TEST(LintSuppressionTest, UnknownRuleNameIsItselfAFinding) {
-  const char* kSrc = "// dtrec-lint: allow(no-such-rule)\nint x = 0;\n";
+  const char* kSrc = "// dtrec-analyze: allow(no-such-rule)\nint x = 0;\n";
   const auto findings = LintContent("src/a.cc", kSrc);
   ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "lint-usage");
+  EXPECT_EQ(findings[0].rule, "analyze-usage");
 }
 
 // ----------------------------------------------- shared stripper hardening
 // The stripper lives in tools/analysis/lexer.cc; these regressions pin
-// the lint-visible behavior for the constructs that used to confuse it.
+// the behavior the lexical rules see for constructs that used to confuse
+// it.
 
 TEST(LintStripperTest, EncodingPrefixedRawStringsAreNotCode) {
   // u8R/LR/uR/UR prefixes open raw strings just like plain R.
@@ -473,44 +486,17 @@ TEST(LintClangTidyTest, GoodConfigPasses) {
       "Checks: 'bugprone-*'\n"
       "WarningsAsErrors: 'bugprone-*'\n"
       "HeaderFilterRegex: 'src/.*'\n";
-  EXPECT_TRUE(LintClangTidyConfig(".clang-tidy", kGood).empty());
+  EXPECT_TRUE(AnalyzeClangTidyConfig(".clang-tidy", kGood).empty());
 }
 
 TEST(LintClangTidyTest, MissingKeysFlagged) {
   const auto findings =
-      LintClangTidyConfig(".clang-tidy", "Checks: 'bugprone-*'\n");
+      AnalyzeClangTidyConfig(".clang-tidy", "Checks: 'bugprone-*'\n");
   EXPECT_EQ(CountRule(findings, "clang-tidy-config"), 2u);
-  EXPECT_EQ(CountRule(LintClangTidyConfig(".clang-tidy", "  \n"),
+  EXPECT_EQ(CountRule(AnalyzeClangTidyConfig(".clang-tidy", "  \n"),
                       "clang-tidy-config"),
             1u);
 }
 
-// ----------------------------------------------------------------- report
-
-TEST(LintReportTest, JsonShapeAndEscaping) {
-  const std::vector<Finding> findings = {
-      {"src/a.cc", 3, "banned-rand", "uses \"rand\""}};
-  const std::string json = FindingsToJson(findings);
-  EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"file\": \"src/a.cc\""), std::string::npos);
-  EXPECT_NE(json.find("\"line\": 3"), std::string::npos);
-  EXPECT_NE(json.find("uses \\\"rand\\\""), std::string::npos);
-  EXPECT_NE(json.find("\"schema\": \"dtrec-lint-v1\""), std::string::npos);
-  EXPECT_EQ(FindingsToJson({}),
-            "{\"schema\": \"dtrec-lint-v1\", \"count\": 0, \"findings\": "
-            "[]}\n");
-}
-
-TEST(LintReportTest, KnownRulesCoverEmittedRules) {
-  const auto& known = KnownRules();
-  for (const char* rule :
-       {"propensity-division", "banned-rand", "naked-new", "include-guard",
-        "include-hygiene", "float-literal", "raw-ofstream-write",
-        "raw-stderr-logging", "signal-unsafe-in-handler", "lint-usage"}) {
-    EXPECT_NE(std::find(known.begin(), known.end(), rule), known.end())
-        << rule;
-  }
-}
-
 }  // namespace
-}  // namespace dtrec::lint
+}  // namespace dtrec::analysis

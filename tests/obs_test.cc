@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -19,6 +20,7 @@
 #include "obs/prop_stats.h"
 #include "obs/telemetry_validate.h"
 #include "obs/trace.h"
+#include "obs/watchdog.h"
 #include "util/atomic_file.h"
 #include "util/math_util.h"
 
@@ -843,52 +845,135 @@ TEST(ServingBenchValidatorTest, ExtractBenchRowsReadsV2AndRefusesV1) {
   EXPECT_EQ(v1.code(), StatusCode::kInvalidArgument);
 }
 
-/// The committed root BENCH_serving.json, read once per test.
-std::string CommittedServingBench() {
+/// A committed root bench file, as read from disk.
+std::string ReadCommitted(const char* path) {
   std::string bytes;
-  EXPECT_TRUE(ReadFile(DTREC_COMMITTED_SERVING_BENCH, &bytes).ok());
-  EXPECT_TRUE(obs::ValidateServingBenchJson(bytes).ok());
+  EXPECT_TRUE(ReadFile(path, &bytes).ok()) << path;
   return bytes;
 }
 
-/// Both parsers on one mutant: each answers OK or InvalidArgument — never
-/// a crash, never another code.
-void ExpectOkOrInvalidArgument(const std::string& doc,
-                               const std::string& what) {
-  const Status validated = obs::ValidateServingBenchJson(doc);
-  EXPECT_TRUE(validated.ok() ||
-              validated.code() == StatusCode::kInvalidArgument)
-      << what << ": " << validated.ToString();
-  std::string schema;
-  std::vector<obs::BenchDiffRow> rows;
-  const Status extracted = obs::ExtractBenchRows(doc, &schema, &rows);
-  EXPECT_TRUE(extracted.ok() ||
-              extracted.code() == StatusCode::kInvalidArgument)
-      << what << ": " << extracted.ToString();
+TEST(KernelBenchValidatorTest, CommittedFileValidatesAndTrailingBytesDoNot) {
+  const std::string bytes = ReadCommitted(DTREC_COMMITTED_KERNELS_BENCH);
+  ASSERT_TRUE(obs::ValidateKernelBenchJson(bytes).ok());
+  EXPECT_FALSE(obs::ValidateKernelBenchJson(bytes + "x").ok());
+  EXPECT_FALSE(obs::ValidateKernelBenchJson(bytes + "{}").ok());
 }
 
-TEST(ServingBenchCorruptionFuzzTest, EveryPrefixTruncation) {
-  const std::string bytes = CommittedServingBench();
-  const size_t closing = bytes.rfind('}');
-  ASSERT_NE(closing, std::string::npos);
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    const std::string prefix = bytes.substr(0, len);
-    ExpectOkOrInvalidArgument(prefix, "truncation to " + std::to_string(len));
-    // Cut before the closing brace, the document is incomplete.
-    if (len <= closing) {
-      EXPECT_FALSE(obs::ValidateServingBenchJson(prefix).ok())
-          << "truncation to " << len << " of " << bytes.size()
-          << " bytes was accepted";
-    }
+/// One parser over one valid document: a trace, event stream, metrics
+/// dump, alert stream or profile from the repo's own writers, or a
+/// committed root bench file.
+struct CorruptionCase {
+  std::string what;
+  std::string doc;
+  std::function<Status(const std::string&)> parse;
+  /// One JSON document (not JSONL): every cut before its final '}' must
+  /// be rejected.
+  bool single_document = true;
+};
+
+std::vector<CorruptionCase> CorruptionCases() {
+  obs::ClearTrace();
+  obs::EnableTracing();
+  {
+    obs::TraceContext ctx;
+    obs::TraceSpan outer("outer_stage");
+    obs::TraceSpan inner("inner_stage");
   }
+  obs::DisableTracing();
+  const std::string trace = obs::FlushTraceJson();
+  obs::ClearTrace();
+
+  obs::MetricsRegistry registry;
+  registry.GetCounter("a.count")->Increment(7);
+  registry.GetGauge("a.gauge")->Set(1.5);
+  registry.GetHistogram("a.lat")->Record(12.0);
+
+  obs::AlertEvent alert;
+  alert.rule = "shed_spike";
+  alert.expr = "rate:serve.shed/serve.requests";
+  alert.context = "saturation_flood";
+  alert.direction = "above";
+  alert.value = 0.82;
+  alert.threshold = 0.25;
+  alert.window_s = 0.5;
+  alert.at_s = 12.5;
+  std::string alerts = obs::AlertJsonLine(alert) + "\n";
+  alert.has_baseline = true;
+  alert.baseline = 0.01;
+  alerts += obs::AlertJsonLine(alert) + "\n";
+
+  obs::ProfileReport profile;
+  profile.interval_us = 500;
+  profile.samples = 5;
+  profile.stacks = {{{"main", "dtrec::Fit", "GemmStrided"}, 3},
+                    {{"main", "operator new(unsigned long)"}, 2}};
+
+  const auto serving = [](const std::string& doc) {
+    return obs::ValidateServingBenchJson(doc);
+  };
+  const auto kernels = [](const std::string& doc) {
+    return obs::ValidateKernelBenchJson(doc);
+  };
+  const auto extract = [](const std::string& doc) {
+    std::string schema;
+    std::vector<obs::BenchDiffRow> rows;
+    return obs::ExtractBenchRows(doc, &schema, &rows);
+  };
+  const std::string serving_bench =
+      ReadCommitted(DTREC_COMMITTED_SERVING_BENCH);
+  const std::string kernel_bench =
+      ReadCommitted(DTREC_COMMITTED_KERNELS_BENCH);
+  return {
+      {"trace", trace,
+       [](const std::string& doc) { return obs::ValidateTraceJson(doc); }},
+      {"train events",
+       TrainEventToJsonLine(MakeEvent(0)) + TrainEventToJsonLine(MakeEvent(1)),
+       [](const std::string& doc) {
+         return obs::ValidateTrainEventsJsonl(doc);
+       },
+       false},
+      {"metrics", registry.DumpJson(), obs::ValidateMetricsJson},
+      {"alerts", alerts,
+       [](const std::string& doc) { return obs::ValidateAlertsJsonl(doc); },
+       false},
+      {"profile", obs::ProfileJson(profile),
+       [](const std::string& doc) { return obs::ValidateProfileJson(doc); }},
+      {"BENCH_serving.json", serving_bench, serving},
+      {"BENCH_serving.json rows", serving_bench, extract},
+      {"BENCH_kernels.json", kernel_bench, kernels},
+      {"BENCH_kernels.json rows", kernel_bench, extract},
+  };
 }
 
-TEST(ServingBenchCorruptionFuzzTest, EverySingleByteFlip) {
-  const std::string bytes = CommittedServingBench();
-  for (size_t pos = 0; pos < bytes.size(); ++pos) {
-    std::string mutated = bytes;
-    mutated[pos] ^= static_cast<char>(0xFF);
-    ExpectOkOrInvalidArgument(mutated, "flip at byte " + std::to_string(pos));
+/// Every parser of bytes a process may read back answers OK or
+/// InvalidArgument to every prefix truncation and every single-byte flip
+/// of a valid document — never a crash, never another code.
+TEST(ValidatorCorruptionFuzzTest, EveryTruncationAndByteFlip) {
+  for (const CorruptionCase& c : CorruptionCases()) {
+    SCOPED_TRACE(c.what);
+    ASSERT_TRUE(c.parse(c.doc).ok()) << c.doc;
+    const auto expect_ok_or_invalid = [&c](const std::string& mutant,
+                                           const std::string& how) {
+      const Status st = c.parse(mutant);
+      EXPECT_TRUE(st.ok() || st.code() == StatusCode::kInvalidArgument)
+          << how << ": " << st.ToString();
+      return st;
+    };
+    const size_t closing = c.doc.rfind('}');
+    ASSERT_NE(closing, std::string::npos);
+    for (size_t len = 0; len < c.doc.size(); ++len) {
+      const Status st = expect_ok_or_invalid(
+          c.doc.substr(0, len), "truncation to " + std::to_string(len));
+      if (c.single_document && len <= closing) {
+        EXPECT_FALSE(st.ok()) << "truncation to " << len << " of "
+                              << c.doc.size() << " bytes was accepted";
+      }
+    }
+    for (size_t pos = 0; pos < c.doc.size(); ++pos) {
+      std::string mutated = c.doc;
+      mutated[pos] ^= static_cast<char>(0xFF);
+      expect_ok_or_invalid(mutated, "flip at byte " + std::to_string(pos));
+    }
   }
 }
 

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/telemetry_validate.h"
+#include "util/json.h"
 #include "util/math_util.h"
 #include "util/numeric_guard.h"
 #include "util/random.h"
@@ -364,6 +369,154 @@ TEST(NumericGuardTest, NoOpBuildNeverEvaluatesArguments) {
 }
 
 #endif  // DTREC_NUMERIC_CHECKS
+
+// ------------------------------------------------------------------ JSON
+
+/// True when `text` is exactly one JSON number; its value lands in `out`.
+bool ReadsAsNumber(const std::string& text, double* out) {
+  json::Cursor cur{text};
+  *out = cur.ParseNumber();
+  return cur.ok && cur.AtEnd();
+}
+
+/// ParseString over `text`; `ok` is false unless it is exactly one string.
+std::string ReadString(const std::string& text, bool* ok) {
+  json::Cursor cur{text};
+  const std::string out = cur.ParseString();
+  *ok = cur.ok && cur.AtEnd();
+  return out;
+}
+
+TEST(JsonTest, NumbersFollowTheRfc8259GrammarAndAreFinite) {
+  const std::vector<std::pair<std::string, double>> accepted = {
+      {"0", 0.0},        {"-0", 0.0},       {"7", 7.0},
+      {"-12", -12.0},    {"3.25", 3.25},    {"1e3", 1000.0},
+      {"1E+3", 1000.0},  {"2.5e-1", 0.25},  {" 42 ", 42.0},
+      {"0.1", 0.1},      {"1.7976931348623157e308", 1.7976931348623157e308}};
+  for (const auto& [text, want] : accepted) {
+    double v = -1.0;
+    EXPECT_TRUE(ReadsAsNumber(text, &v)) << text;
+    EXPECT_EQ(v, want) << text;
+  }
+  const std::vector<std::string> rejected = {
+      "",     "-",     "+1",   ".5",       "5.",       "01",    "1e",
+      "1e+",  "0x1p4", "0x10", "nan",      "NaN",      "inf",   "-inf",
+      "Infinity", "infinity", "1e999", "-1e999", "1.5.2", "--1", "1 2",
+      "true"};
+  for (const std::string& text : rejected) {
+    double v = 0.0;
+    EXPECT_FALSE(ReadsAsNumber(text, &v)) << text;
+  }
+}
+
+TEST(JsonTest, EscapeRoundTripsEveryByte) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    all += one;
+    bool ok = false;
+    EXPECT_EQ(ReadString("\"" + json::Escape(one) + "\"", &ok), one)
+        << "byte " << b;
+    EXPECT_TRUE(ok) << "byte " << b;
+  }
+  bool ok = false;
+  EXPECT_EQ(ReadString("\"" + json::Escape(all) + "\"", &ok), all);
+  EXPECT_TRUE(ok);
+}
+
+TEST(JsonTest, StringsDecodeEscapesAndRejectRawControlBytes) {
+  const std::vector<std::pair<std::string, std::string>> decoded = {
+      {R"("a\nb")", "a\nb"},
+      {R"("\"\\\/\b\f\n\r\t")", "\"\\/\b\f\n\r\t"},
+      {R"("a\u0001b")", std::string("a\x01", 2) + "b"},
+      {R"("\u00e9")", "\xc3\xa9"},
+      {R"("\u20AC")", "\xe2\x82\xac"},
+      {R"("\ud83d\ude00")", "\xf0\x9f\x98\x80"}};
+  for (const auto& [text, want] : decoded) {
+    bool ok = false;
+    EXPECT_EQ(ReadString(text, &ok), want) << text;
+    EXPECT_TRUE(ok) << text;
+  }
+  for (const std::string& text :
+       {std::string("\"a\nb\""), std::string("\"a\tb\""),
+        std::string(R"("\x41")"), std::string(R"("\u12")"),
+        std::string(R"("\ud83d")"), std::string(R"("\ude00x")"),
+        std::string("\"abc"), std::string("\"\\")}) {
+    bool ok = true;
+    ReadString(text, &ok);
+    EXPECT_FALSE(ok) << text;
+  }
+}
+
+TEST(JsonTest, SkipValueBoundsNestingInsteadOfOverflowingTheStack) {
+  const auto nested = [](size_t levels) {
+    return std::string(levels, '[') + std::string(levels, ']');
+  };
+  const std::string limit = nested(json::Cursor::kMaxDepth);
+  json::Cursor shallow{limit};
+  shallow.SkipValue();
+  EXPECT_TRUE(shallow.ok && shallow.AtEnd());
+  // Deep enough to overflow the stack of an unbounded recursive reader.
+  const std::string deep = "{\"x\": " + nested(1'000'000) + "}";
+  json::Cursor cur{deep};
+  cur.SkipValue();
+  EXPECT_FALSE(cur.ok);
+  EXPECT_FALSE(obs::ValidateMetricsJson(deep).ok());
+}
+
+TEST(JsonTest, NumberWritesNonFiniteAsZeroAndRoundTrips) {
+  EXPECT_EQ(json::Number(std::nan("")), "0");
+  EXPECT_EQ(json::Number(std::numeric_limits<double>::infinity()), "0");
+  EXPECT_EQ(json::Number(-std::numeric_limits<double>::infinity()), "0");
+  for (const double v : {0.1, -2.5e-300, 1.0 / 3.0, 123456789.0}) {
+    double back = 0.0;
+    ASSERT_TRUE(ReadsAsNumber(json::Number(v), &back)) << v;
+    EXPECT_EQ(back, v);
+  }
+}
+
+TEST(JsonTest, MetricsValidatorRejectsNonJsonNumbers) {
+  const std::string head = R"({"schema": "dtrec-metrics-v1", "counters": )";
+  const std::string tail = R"(, "histograms": {}})";
+  EXPECT_TRUE(obs::ValidateMetricsJson(
+                  head + R"({"c": 3}, "gauges": {"g": 0.5})" + tail)
+                  .ok());
+  for (const char* bad :
+       {R"({"c": 3}, "gauges": {"g": nan})",
+        R"({"c": infinity}, "gauges": {"g": 0.5})",
+        R"({"c": 3}, "gauges": {"g": 0x1p4})"}) {
+    EXPECT_FALSE(obs::ValidateMetricsJson(head + bad + tail).ok()) << bad;
+  }
+}
+
+TEST(JsonTest, AlertsValidatorRejectsNan) {
+  const std::string line =
+      R"({"schema": "dtrec-alerts-v1", "rule": "r", "expr": "value:g", )"
+      R"("context": "", "value": VALUE, "threshold": 1, )"
+      R"("direction": "above", "window_s": 1, "baseline": null, "at_s": 0})"
+      "\n";
+  const auto with = [&line](const std::string& value) {
+    std::string out = line;
+    out.replace(out.find("VALUE"), 5, value);
+    return out;
+  };
+  EXPECT_TRUE(obs::ValidateAlertsJsonl(with("2.5")).ok());
+  EXPECT_FALSE(obs::ValidateAlertsJsonl(with("nan")).ok());
+}
+
+TEST(JsonTest, TraceValidatorDecodesSpanNames) {
+  const auto trace = [](const std::string& name) {
+    return R"({"traceEvents": [{"name": ")" + name +
+           R"(", "ph": "X", "ts": 0, "dur": 1, "pid": 1, "tid": 1}]})";
+  };
+  std::set<std::string> names;
+  ASSERT_TRUE(obs::ValidateTraceJson(trace(R"(a\nb)"), nullptr, &names).ok());
+  EXPECT_EQ(names, std::set<std::string>{"a\nb"});
+  ASSERT_TRUE(
+      obs::ValidateTraceJson(trace(R"(a\u0001b)"), nullptr, &names).ok());
+  EXPECT_EQ(names, std::set<std::string>{std::string("a\x01", 2) + "b"});
+  EXPECT_FALSE(obs::ValidateTraceJson(trace("a\nb")).ok());
+}
 
 }  // namespace
 }  // namespace dtrec

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -163,6 +164,24 @@ std::vector<WatchRule> MustParse(const std::string& text) {
   const Status st = ParseWatchdogRules(text, &rules);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return rules;
+}
+
+TEST(WatchdogAlertJsonTest, QuotedRuleNameAndInfiniteValueStayJson) {
+  // The rules grammar accepts any rule name, and a gauge can hold +inf;
+  // neither may break the alert line.
+  obs::MetricsRegistry registry;
+  registry.GetGauge("w.g")->Set(std::numeric_limits<double>::infinity());
+  FakeClock clock;
+  Watchdog dog(&registry, MustParse("my\"rule: value:w.g, 1, 0, above\n"),
+               WithClock(clock));
+  dog.Poll();  // prime
+  clock.Advance(1.0);
+  ASSERT_EQ(dog.Poll(), 1u);
+  const std::string line = AlertJsonLine(dog.alerts()[0]) + "\n";
+  std::set<std::string> rule_names;
+  const Status st = obs::ValidateAlertsJsonl(line, nullptr, &rule_names);
+  ASSERT_TRUE(st.ok()) << st.ToString() << "\n" << line;
+  EXPECT_EQ(rule_names, std::set<std::string>{"my\"rule"});
 }
 
 TEST(WatchdogEvalTest, FirstPollPrimesWithoutAlerting) {

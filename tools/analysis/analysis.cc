@@ -1,235 +1,52 @@
 #include "analysis/analysis.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
+#include <iterator>
 #include <sstream>
 
 #include "analysis/lexer.h"
+#include "analysis/lexical.h"
 #include "analysis/locks.h"
 #include "analysis/taint.h"
+#include "util/json.h"
 
 namespace dtrec::analysis {
 namespace {
 
-bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
-
-std::string Trim(const std::string& s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && IsSpace(s[b])) ++b;
-  while (e > b && IsSpace(s[e - 1])) --e;
-  return s.substr(b, e - b);
-}
-
-std::vector<std::string> SplitLines(const std::string& s) {
-  std::vector<std::string> lines;
-  std::string cur;
-  for (const char c : s) {
-    if (c == '\n') {
-      lines.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  lines.push_back(cur);
-  return lines;
-}
-
-/// "#include <path>" / "#include \"path\"" → (delimiter, path); '\0' if
-/// the line is not an include directive.
-std::pair<char, std::string> ParseIncludeLine(const std::string& raw_line) {
-  size_t i = 0;
-  const size_t n = raw_line.size();
-  while (i < n && IsSpace(raw_line[i])) ++i;
-  if (i >= n || raw_line[i] != '#') return {'\0', ""};
-  ++i;
-  while (i < n && IsSpace(raw_line[i])) ++i;
-  if (raw_line.compare(i, 7, "include") != 0) return {'\0', ""};
-  i += 7;
-  while (i < n && IsSpace(raw_line[i])) ++i;
-  if (i >= n || (raw_line[i] != '<' && raw_line[i] != '"')) return {'\0', ""};
-  const char open = raw_line[i];
-  const char close = open == '<' ? '>' : '"';
-  ++i;
-  std::string path;
-  while (i < n && raw_line[i] != close) path.push_back(raw_line[i++]);
-  return {open, path};
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-const char* RuleShortDescription(const std::string& rule) {
-  if (rule == "propensity-taint") {
-    return "Unclipped propensity value reaches a division/log/pow sink";
-  }
-  if (rule == "layering-upward") {
-    return "Include crosses the module DAG upward";
-  }
-  if (rule == "layering-cycle") return "Module dependency cycle";
-  if (rule == "include-cycle") return "File-level include cycle";
-  if (rule == "lock-discipline") {
-    return "DTREC_GUARDED_BY field accessed without its mutex";
-  }
-  if (rule == "analyze-usage") {
-    return "Malformed dtrec-analyze suppression comment";
-  }
-  return "dtrec_analyze finding";
-}
-
-/// Minimal recursive-descent JSON checker (same shape as the ones in
-/// src/obs/telemetry_validate.cc and bench/bench_common.h, which tools/
-/// deliberately does not depend on).
-struct JsonCursor {
-  const std::string& s;
-  size_t i = 0;
-  bool ok = true;
-
-  void SkipWs() {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t' ||
-                            s[i] == '\r')) {
-      ++i;
-    }
-  }
-  bool Eat(char c) {
-    SkipWs();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    ok = false;
-    return false;
-  }
-  bool Peek(char c) {
-    SkipWs();
-    return i < s.size() && s[i] == c;
-  }
-  bool AtEnd() {
-    SkipWs();
-    return i >= s.size();
-  }
-  std::string ParseString() {
-    if (!Eat('"')) return "";
-    std::string out;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\' && i + 1 < s.size()) ++i;
-      out += s[i++];
-    }
-    if (!Eat('"')) ok = false;
-    return out;
-  }
-  double ParseNumber() {
-    SkipWs();
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str() + i, &end);
-    if (end == s.c_str() + i) {
-      ok = false;
-      return 0.0;
-    }
-    i = static_cast<size_t>(end - s.c_str());
-    return v;
-  }
-  void SkipValue();  // forward-declared, mutually recursive
-
-  template <typename Fn>
-  void ParseObject(Fn&& fn) {
-    if (!Eat('{')) return;
-    if (Peek('}')) {
-      Eat('}');
-      return;
-    }
-    while (ok) {
-      const std::string key = ParseString();
-      if (!Eat(':')) return;
-      fn(key);
-      if (Peek(',')) {
-        Eat(',');
-        continue;
-      }
-      Eat('}');
-      return;
-    }
-  }
-  template <typename Fn>
-  void ParseArray(Fn&& fn) {
-    if (!Eat('[')) return;
-    if (Peek(']')) {
-      Eat(']');
-      return;
-    }
-    while (ok) {
-      fn();
-      if (Peek(',')) {
-        Eat(',');
-        continue;
-      }
-      Eat(']');
-      return;
-    }
-  }
+struct RuleInfo {
+  const char* id;
+  const char* description;  // SARIF shortDescription
 };
 
-void JsonCursor::SkipValue() {
-  SkipWs();
-  if (i >= s.size()) {
-    ok = false;
-    return;
-  }
-  const char c = s[i];
-  if (c == '"') {
-    ParseString();
-  } else if (c == '{') {
-    ParseObject([this](const std::string&) { SkipValue(); });
-  } else if (c == '[') {
-    ParseArray([this] { SkipValue(); });
-  } else if (s.compare(i, 4, "true") == 0) {
-    i += 4;
-  } else if (s.compare(i, 5, "false") == 0) {
-    i += 5;
-  } else if (s.compare(i, 4, "null") == 0) {
-    i += 4;
-  } else {
-    ParseNumber();
-  }
-}
+constexpr RuleInfo kRules[] = {
+    {"propensity-taint",
+     "Unclipped propensity value reaches a division/log/pow sink"},
+    {"layering-upward", "Include crosses the module DAG upward"},
+    {"layering-cycle", "Module dependency cycle"},
+    {"include-cycle", "File-level include cycle"},
+    {"lock-discipline", "DTREC_GUARDED_BY field accessed without its mutex"},
+    {"banned-rand", "C library RNG; use the seeded dtrec::Rng"},
+    {"naked-new", "Raw allocation in non-test code"},
+    {"include-guard", "Header lacks the canonical DTREC_<PATH>_H_ guard"},
+    {"include-hygiene", "Include path is not src/-relative and quoted"},
+    {"float-literal", "Float literal in double-precision code"},
+    {"raw-ofstream-write", "std::ofstream bypasses WriteFileAtomic"},
+    {"raw-stderr-logging", "Library code writes stderr instead of DTREC_LOG"},
+    {"signal-unsafe-in-handler",
+     "Allocating, locking or stdio call inside a signal-safe region"},
+    {"clang-tidy-config", "Repo-root .clang-tidy missing or incomplete"},
+    {"analyze-usage", "Malformed dtrec-analyze suppression comment"},
+};
 
 }  // namespace
 
 const std::vector<std::string>& KnownRules() {
-  static const std::vector<std::string> kRules = {
-      "propensity-taint", "layering-upward", "layering-cycle",
-      "include-cycle",    "lock-discipline", "analyze-usage"};
-  return kRules;
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const RuleInfo& rule : kRules) names.push_back(rule.id);
+    return names;
+  }();
+  return kNames;
 }
 
 FileAnalysis AnalyzeFile(const std::string& rel_path,
@@ -265,20 +82,15 @@ FileAnalysis AnalyzeFile(const std::string& rel_path,
     raw.push_back(std::move(f));
   }
 
-  const AllowParse allows =
-      ParseAllowComments("dtrec-analyze:", strip.comments, KnownRules());
-  // propensity-taint subsumes dtrec_lint's propensity-division: a site
-  // that already carries the lint allowance is audited once, not twice.
-  const AllowParse lint_allows = ParseAllowComments(
-      "dtrec-lint:", strip.comments, {"propensity-division"});
+  for (Finding& f : AnalyzeLexical(rel_path, content, strip)) {
+    raw.push_back(std::move(f));
+  }
 
+  const AllowParse allows = ParseAllowComments(strip.comments, KnownRules());
   for (Finding& f : raw) {
-    if (AllowCovers(allows, f.rule, f.line)) continue;
-    if (f.rule == "propensity-taint" &&
-        AllowCovers(lint_allows, "propensity-division", f.line)) {
-      continue;
+    if (!AllowCovers(allows, f.rule, f.line)) {
+      out.findings.push_back(std::move(f));
     }
-    out.findings.push_back(std::move(f));
   }
   for (const auto& [line, rule] : allows.unknown) {
     out.findings.push_back({rel_path, line, "analyze-usage",
@@ -350,9 +162,9 @@ std::string FindingsToJson(const std::vector<Finding>& findings,
   for (size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
     if (i) os << ", ";
-    os << "{\"file\": \"" << JsonEscape(f.file) << "\", \"line\": " << f.line
-       << ", \"rule\": \"" << JsonEscape(f.rule) << "\", \"message\": \""
-       << JsonEscape(f.message) << "\"}";
+    os << "{\"file\": \"" << json::Escape(f.file) << "\", \"line\": " << f.line
+       << ", \"rule\": \"" << json::Escape(f.rule) << "\", \"message\": \""
+       << json::Escape(f.message) << "\"}";
   }
   os << "]}\n";
   return os.str();
@@ -373,12 +185,11 @@ std::string FindingsToSarif(const std::vector<Finding>& findings) {
         "\"https://github.com/dtrec/dtrec\",\n"
      << "          \"version\": \"1.0.0\",\n"
      << "          \"rules\": [\n";
-  const auto& rules = KnownRules();
-  for (size_t i = 0; i < rules.size(); ++i) {
-    os << "            {\"id\": \"" << rules[i]
+  for (size_t i = 0; i < std::size(kRules); ++i) {
+    os << "            {\"id\": \"" << kRules[i].id
        << "\", \"shortDescription\": {\"text\": \""
-       << JsonEscape(RuleShortDescription(rules[i])) << "\"}}"
-       << (i + 1 < rules.size() ? "," : "") << "\n";
+       << json::Escape(kRules[i].description) << "\"}}"
+       << (i + 1 < std::size(kRules) ? "," : "") << "\n";
   }
   os << "          ]\n"
      << "        }\n"
@@ -386,12 +197,12 @@ std::string FindingsToSarif(const std::vector<Finding>& findings) {
      << "      \"results\": [\n";
   for (size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
-    os << "        {\"ruleId\": \"" << JsonEscape(f.rule)
+    os << "        {\"ruleId\": \"" << json::Escape(f.rule)
        << "\", \"level\": \"error\", \"message\": {\"text\": \""
-       << JsonEscape(f.message)
+       << json::Escape(f.message)
        << "\"}, \"locations\": [{\"physicalLocation\": "
           "{\"artifactLocation\": {\"uri\": \""
-       << JsonEscape(f.file)
+       << json::Escape(f.file)
        << "\", \"uriBaseId\": \"%SRCROOT%\"}, \"region\": {\"startLine\": "
        << f.line << "}}}]}" << (i + 1 < findings.size() ? "," : "") << "\n";
   }
@@ -403,7 +214,7 @@ std::string FindingsToSarif(const std::vector<Finding>& findings) {
 }
 
 std::string ValidateSarif(const std::string& content) {
-  JsonCursor cur{content};
+  json::Cursor cur{content};
   std::string version;
   size_t num_runs = 0;
   std::string error;

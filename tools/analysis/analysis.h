@@ -9,9 +9,8 @@
 #include <utility>
 #include <vector>
 
-// dtrec_analyze — dataflow / graph static analysis for the dtrec tree,
-// one level up from dtrec_lint's textual rules. Three analyses share the
-// lexer in analysis/lexer.h:
+// dtrec_analyze — the one static-analysis tool for the dtrec tree. Its
+// passes share the lexer in analysis/lexer.h:
 //
 //   propensity-taint   intra-function dataflow: values that look like
 //                      propensities (lexicon identifiers, results of
@@ -20,9 +19,7 @@
 //                      assignments and aliases into the hazardous sinks
 //                      `/`, `/=`, std::log and std::pow; only
 //                      ClipPropensity / SafeInverse / SoftClip clear the
-//                      taint. Subsumes and strengthens dtrec_lint's
-//                      propensity-division rule (which only matches the
-//                      divisor's head identifier).
+//                      taint.
 //   layering-upward    cross-file include-graph check of the module DAG
 //     layering-cycle   util → tensor → {autograd, data} → {core,
 //     include-cycle    propensity, optim, metrics} → {baselines, models,
@@ -37,13 +34,20 @@
 //                      DTREC_REQUIRES(mu). Mutex identity is by name,
 //                      not object — the static complement to the TSan
 //                      CI leg, not a replacement for it.
+//   lexical rules      banned-rand, naked-new, include-guard,
+//                      include-hygiene, float-literal, raw-ofstream-write,
+//                      raw-stderr-logging, signal-unsafe-in-handler and
+//                      clang-tidy-config; see analysis/lexical.h.
 //   analyze-usage      an allow-comment naming an unknown rule.
 //
-// Suppressions mirror dtrec_lint's: an `allow(rule)` comment carrying
-// the `dtrec-analyze:` tag covers its own line and the next. Because propensity-taint subsumes the
-// lint rule, an existing `dtrec-lint: allow(propensity-division)` comment
-// also silences propensity-taint on its lines — one audited escape hatch
-// per site, not two.
+// Suppressions: a `dtrec-analyze:` comment whose allow() list names
+// rules, or `all`, covers its own line and the line directly below it,
+// so both trailing and standalone-comment-above styles work:
+//
+//   x = a / p_hat;  // dtrec-analyze: allow(propensity-taint)
+//
+//   // dtrec-analyze: allow(naked-new)
+//   auto* raw = new Widget;
 //
 // Reports: JSON (schema "dtrec-analyze-v1") and SARIF 2.1.0 for GitHub
 // code scanning. The checked-in baseline (tools/analysis/
@@ -71,8 +75,9 @@ struct IncludeSite {
 };
 
 /// Everything the per-file pass extracts: quoted/angle includes (for the
-/// layering graph) and the file-local findings from the taint and
-/// lock-discipline analyses, already filtered through allow-comments.
+/// layering graph) and the file-local findings from the taint,
+/// lock-discipline and lexical analyses, already filtered through
+/// allow-comments.
 /// This is the unit the incremental cache stores per content hash.
 struct FileAnalysis {
   std::vector<IncludeSite> includes;

@@ -17,6 +17,8 @@ bool IsIdentStart(char c) {
 
 bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)) != 0; }
 
+bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+
 /// True if the quote at s[i] opens a raw string literal: the maximal run
 /// of identifier characters directly before it is exactly one of the raw
 /// encoding prefixes (R, LR, uR, UR, u8R). An identifier butting against
@@ -182,7 +184,7 @@ std::vector<Token> Lex(const std::string& code) {
       line_start = ++i;
       continue;
     }
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
+    if (IsSpace(c)) {
       ++i;
       continue;
     }
@@ -229,9 +231,9 @@ std::vector<Token> Lex(const std::string& code) {
   return tokens;
 }
 
-AllowParse ParseAllowComments(const std::string& tag,
-                              const std::vector<std::string>& comments,
+AllowParse ParseAllowComments(const std::vector<std::string>& comments,
                               const std::vector<std::string>& known_rules) {
+  static const std::string tag = "dtrec-analyze:";
   AllowParse out;
   for (size_t ln0 = 0; ln0 < comments.size(); ++ln0) {
     const std::string& text = comments[ln0];
@@ -270,6 +272,48 @@ bool AllowCovers(const AllowParse& allows, const std::string& rule,
     }
   }
   return false;
+}
+
+std::string Trim(const std::string& s) {
+  size_t b = 0;
+  size_t e = s.size();
+  while (b < e && IsSpace(s[b])) ++b;
+  while (e > b && IsSpace(s[e - 1])) --e;
+  return s.substr(b, e - b);
+}
+
+std::vector<std::string> SplitLines(const std::string& s) {
+  std::vector<std::string> lines;
+  std::string cur;
+  for (const char c : s) {
+    if (c == '\n') {
+      lines.push_back(cur);
+      cur.clear();
+    } else {
+      cur.push_back(c);
+    }
+  }
+  lines.push_back(cur);
+  return lines;
+}
+
+std::pair<char, std::string> ParseIncludeLine(const std::string& raw_line) {
+  size_t i = 0;
+  const size_t n = raw_line.size();
+  while (i < n && IsSpace(raw_line[i])) ++i;
+  if (i >= n || raw_line[i] != '#') return {'\0', ""};
+  ++i;
+  while (i < n && IsSpace(raw_line[i])) ++i;
+  if (raw_line.compare(i, 7, "include") != 0) return {'\0', ""};
+  i += 7;
+  while (i < n && IsSpace(raw_line[i])) ++i;
+  if (i >= n || (raw_line[i] != '<' && raw_line[i] != '"')) return {'\0', ""};
+  const char open = raw_line[i];
+  const char close = open == '<' ? '>' : '"';
+  ++i;
+  std::string path;
+  while (i < n && raw_line[i] != close) path.push_back(raw_line[i++]);
+  return {open, path};
 }
 
 }  // namespace dtrec::analysis

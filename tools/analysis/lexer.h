@@ -8,8 +8,8 @@
 #include <utility>
 #include <vector>
 
-// Shared lexical layer for dtrec's static-analysis tools (dtrec_lint and
-// dtrec_analyze). Two levels of service:
+// Lexical layer of dtrec_analyze, shared by every pass. Two levels of
+// service:
 //
 //   StripSource()  blanks comments and string/char literals out of a C++
 //                  translation unit while preserving newlines (so byte
@@ -26,9 +26,8 @@
 //                  enough structure for the dataflow and lock-discipline
 //                  passes without dragging in a real C++ frontend.
 //
-// Both linters' allow-comment suppressions are parsed here too, so the
-// "covers its own line and the next" semantics stay identical across
-// tools.
+// The `dtrec-analyze:` allow-comment suppressions are parsed here too,
+// with the line helpers the passes share.
 
 namespace dtrec::analysis {
 
@@ -61,20 +60,30 @@ std::vector<Token> Lex(const std::string& stripped_code);
 struct AllowParse {
   std::map<size_t, std::set<std::string>> by_line;  ///< 1-based line → rules
   /// allow() entries naming rules outside `known_rules`: (1-based line,
-  /// offending name). Callers report these under their usage rule.
+  /// offending name), reported as `analyze-usage`.
   std::vector<std::pair<size_t, std::string>> unknown;
 };
 
-/// Scans `comments` (as produced by StripSource) for "<tag> allow(a, b)"
-/// markers, e.g. tag = "dtrec-lint:" or "dtrec-analyze:".
-AllowParse ParseAllowComments(const std::string& tag,
-                              const std::vector<std::string>& comments,
+/// Scans `comments` (as produced by StripSource) for markers: the tag
+/// "dtrec-analyze:" followed by allow() with a comma-separated rule list.
+AllowParse ParseAllowComments(const std::vector<std::string>& comments,
                               const std::vector<std::string>& known_rules);
 
 /// True if `rule` is allowed on `line` (1-based): an allowance on the line
 /// itself or the line above covers it.
 bool AllowCovers(const AllowParse& allows, const std::string& rule,
                  size_t line);
+
+/// `s` without leading and trailing whitespace.
+std::string Trim(const std::string& s);
+
+/// `s` split on '\n'; a trailing newline yields a final empty line, so
+/// index i is always 0-based source line i.
+std::vector<std::string> SplitLines(const std::string& s);
+
+/// "#include <path>" / "#include \"path\"" → (delimiter, path); the
+/// delimiter is '\0' when the line is not an include directive.
+std::pair<char, std::string> ParseIncludeLine(const std::string& raw_line);
 
 }  // namespace dtrec::analysis
 

@@ -1,17 +1,12 @@
-#include "lint/lint.h"
+#include "analysis/lexical.h"
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "analysis/lexer.h"
-
-namespace dtrec::lint {
+namespace dtrec::analysis {
 namespace {
 
 bool IsIdentChar(char c) {
@@ -22,15 +17,6 @@ bool IsIdentStart(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
-bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
-
-std::string Lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return s;
-}
-
 bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
 }
@@ -38,14 +24,6 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
 bool EndsWith(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-std::string Trim(const std::string& s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && IsSpace(s[b])) ++b;
-  while (e > b && IsSpace(s[e - 1])) --e;
-  return s.substr(b, e - b);
 }
 
 std::vector<size_t> LineStarts(const std::string& s) {
@@ -61,79 +39,9 @@ size_t LineOf(const std::vector<size_t>& starts, size_t pos) {
   return static_cast<size_t>(it - starts.begin());  // 1-based
 }
 
-std::vector<std::string> SplitLines(const std::string& s) {
-  std::vector<std::string> lines;
-  std::string cur;
-  for (const char c : s) {
-    if (c == '\n') {
-      lines.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  lines.push_back(cur);
-  return lines;
-}
-
-// "#include <path>" / "#include \"path\"" → (delimiter, path); delimiter
-// '\0' if the line is not an include directive.
-std::pair<char, std::string> ParseInclude(const std::string& raw_line) {
-  size_t i = 0;
-  const size_t n = raw_line.size();
-  while (i < n && IsSpace(raw_line[i])) ++i;
-  if (i >= n || raw_line[i] != '#') return {'\0', ""};
-  ++i;
-  while (i < n && IsSpace(raw_line[i])) ++i;
-  if (raw_line.compare(i, 7, "include") != 0) return {'\0', ""};
-  i += 7;
-  while (i < n && IsSpace(raw_line[i])) ++i;
-  if (i >= n || (raw_line[i] != '<' && raw_line[i] != '"')) return {'\0', ""};
-  const char open = raw_line[i];
-  const char close = open == '<' ? '>' : '"';
-  ++i;
-  std::string path;
-  while (i < n && raw_line[i] != close) path.push_back(raw_line[i++]);
-  return {open, path};
-}
-
 // ---------------------------------------------------------------------------
 // Individual rules. Each scans the scrubbed code (comments/strings blanked,
 // include lines additionally blanked where noted) and appends findings.
-
-void CheckPropensityDivision(const std::string& rel_path,
-                             const std::string& code,
-                             const std::vector<size_t>& starts,
-                             std::vector<Finding>* findings) {
-  static const std::set<std::string> kBlessed = {"clippropensity",
-                                                 "safeinverse", "softclip"};
-  const size_t n = code.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (code[i] != '/') continue;
-    if (i > 0 && code[i - 1] == '/') continue;
-    size_t j = i + 1;
-    if (j < n && code[j] == '=') ++j;  // compound "/=" counts too
-    while (j < n && (IsSpace(code[j]) || code[j] == '(' || code[j] == ':' ||
-                     code[j] == '*' || code[j] == '&')) {
-      ++j;
-    }
-    if (j >= n || !IsIdentStart(code[j])) continue;
-    const size_t id_begin = j;
-    while (j < n && IsIdentChar(code[j])) ++j;
-    const std::string id = code.substr(id_begin, j - id_begin);
-    const std::string low = Lower(id);
-    if (kBlessed.count(low)) continue;
-    if (low.find("propensit") == std::string::npos &&
-        low.find("p_hat") == std::string::npos &&
-        low.find("inv_p") == std::string::npos) {
-      continue;
-    }
-    findings->push_back(
-        {rel_path, LineOf(starts, i), "propensity-division",
-         "raw division by '" + id +
-             "'; clip first (ClipPropensity) or use SafeInverse()"});
-  }
-}
 
 void CheckIdentifierRules(const std::string& rel_path, const std::string& code,
                           const std::vector<size_t>& starts, bool is_test,
@@ -200,10 +108,9 @@ void CheckIncludeHygiene(const std::string& rel_path,
       "src/",    "util/",        "tensor/", "autograd/",    "optim/",
       "data/",   "synth/",       "metrics/", "propensity/", "models/",
       "baselines/", "core/",     "experiments/", "io/",     "diagnostics/",
-      "serve/",  "lint/",        "analysis/", "bench/",     "tests/",
-      "tools/"};
+      "serve/",  "analysis/",    "bench/",  "tests/",      "tools/"};
   for (size_t ln0 = 0; ln0 < raw_lines.size(); ++ln0) {
-    const auto [delim, path] = ParseInclude(raw_lines[ln0]);
+    const auto [delim, path] = ParseIncludeLine(raw_lines[ln0]);
     if (delim == '\0') continue;
     const size_t line = ln0 + 1;
     if (path.find("..") != std::string::npos) {
@@ -242,7 +149,7 @@ void CheckRawOfstream(const std::string& rel_path, const std::string& code,
   // Durable files must be written through WriteFileAtomic (temp + fsync +
   // rename), or a crash can leave a torn file behind. The atomic writer
   // itself is the one blessed place that opens an output stream; scratch
-  // writers elsewhere (console tables, lint reports) carry an explicit
+  // writers elsewhere (console tables, analysis reports) carry an explicit
   // allow-comment acknowledging they are not crash-safe.
   if (rel_path == "src/util/atomic_file.cc") return;
   const size_t n = code.size();
@@ -405,36 +312,6 @@ void CheckSignalSafeRegions(const std::string& rel_path,
   }
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 FileKind ClassifyPath(const std::string& rel_path) {
@@ -462,26 +339,23 @@ FileKind ClassifyPath(const std::string& rel_path) {
   return kind;
 }
 
-std::vector<Finding> LintContent(const std::string& rel_path,
-                                 const std::string& content) {
+std::vector<Finding> AnalyzeLexical(const std::string& rel_path,
+                                    const std::string& content,
+                                    const StripResult& strip) {
   const FileKind kind = ClassifyPath(rel_path);
-  // The shared stripper (tools/analysis/lexer.h) blanks comments and
-  // literals while surviving raw strings, digit separators and line
-  // continuations — dtrec_lint and dtrec_analyze see the same code.
-  const analysis::StripResult scrub = analysis::StripSource(content);
   const std::vector<size_t> starts = LineStarts(content);
   const std::vector<std::string> raw_lines = SplitLines(content);
-  std::vector<std::string> code_lines = SplitLines(scrub.code);
+  std::vector<std::string> code_lines = SplitLines(strip.code);
 
   // Blank include directives out of the scrubbed code so paths like
   // <propensity/propensity.h> never feed the identifier-based rules;
   // CheckIncludeHygiene sees the raw lines instead.
-  std::string code = scrub.code;
+  std::string code = strip.code;
   {
     size_t offset = 0;
     for (size_t ln0 = 0; ln0 < raw_lines.size(); ++ln0) {
       const size_t len = raw_lines[ln0].size();
-      if (ParseInclude(raw_lines[ln0]).first != '\0') {
+      if (ParseIncludeLine(raw_lines[ln0]).first != '\0') {
         for (size_t k = 0; k < len; ++k) code[offset + k] = ' ';
         code_lines[ln0].assign(len, ' ');
       }
@@ -489,42 +363,23 @@ std::vector<Finding> LintContent(const std::string& rel_path,
     }
   }
 
-  const analysis::AllowParse allows =
-      analysis::ParseAllowComments("dtrec-lint:", scrub.comments, KnownRules());
-
-  std::vector<Finding> raw;
-  CheckPropensityDivision(rel_path, code, starts, &raw);
-  CheckIdentifierRules(rel_path, code, starts, kind.is_test, &raw);
-  if (kind.is_header && !kind.expected_guard.empty()) {
-    CheckIncludeGuard(rel_path, code_lines, kind.expected_guard, &raw);
-  }
-  CheckIncludeHygiene(rel_path, raw_lines, &raw);
-  CheckFloatLiterals(rel_path, code, starts, &raw);
-  if (!kind.is_test) CheckRawOfstream(rel_path, code, starts, &raw);
-  if (!kind.is_test && StartsWith(rel_path, "src/")) {
-    CheckRawStderr(rel_path, code, starts, &raw);
-  }
-  CheckSignalSafeRegions(rel_path, scrub.comments, code_lines, &raw);
-
   std::vector<Finding> findings;
-  for (Finding& f : raw) {
-    if (!analysis::AllowCovers(allows, f.rule, f.line)) {
-      findings.push_back(std::move(f));
-    }
+  CheckIdentifierRules(rel_path, code, starts, kind.is_test, &findings);
+  if (kind.is_header && !kind.expected_guard.empty()) {
+    CheckIncludeGuard(rel_path, code_lines, kind.expected_guard, &findings);
   }
-  for (const auto& [line, rule] : allows.unknown) {
-    findings.push_back({rel_path, line, "lint-usage",
-                        "allow() names unknown rule '" + rule + "'"});
+  CheckIncludeHygiene(rel_path, raw_lines, &findings);
+  CheckFloatLiterals(rel_path, code, starts, &findings);
+  if (!kind.is_test) CheckRawOfstream(rel_path, code, starts, &findings);
+  if (!kind.is_test && StartsWith(rel_path, "src/")) {
+    CheckRawStderr(rel_path, code, starts, &findings);
   }
-  std::stable_sort(findings.begin(), findings.end(),
-                   [](const Finding& a, const Finding& b) {
-                     return a.line < b.line;
-                   });
+  CheckSignalSafeRegions(rel_path, strip.comments, code_lines, &findings);
   return findings;
 }
 
-std::vector<Finding> LintClangTidyConfig(const std::string& rel_path,
-                                         const std::string& content) {
+std::vector<Finding> AnalyzeClangTidyConfig(const std::string& rel_path,
+                                            const std::string& content) {
   std::vector<Finding> findings;
   if (Trim(content).empty()) {
     findings.push_back(
@@ -549,29 +404,4 @@ std::vector<Finding> LintClangTidyConfig(const std::string& rel_path,
   return findings;
 }
 
-std::string FindingsToJson(const std::vector<Finding>& findings) {
-  std::ostringstream os;
-  os << "{\"schema\": \"dtrec-lint-v1\", \"count\": " << findings.size()
-     << ", \"findings\": [";
-  for (size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    if (i) os << ", ";
-    os << "{\"file\": \"" << JsonEscape(f.file) << "\", \"line\": " << f.line
-       << ", \"rule\": \"" << JsonEscape(f.rule) << "\", \"message\": \""
-       << JsonEscape(f.message) << "\"}";
-  }
-  os << "]}\n";
-  return os.str();
-}
-
-const std::vector<std::string>& KnownRules() {
-  static const std::vector<std::string> kRules = {
-      "propensity-division",      "banned-rand",
-      "naked-new",                "include-guard",
-      "include-hygiene",          "float-literal",
-      "raw-ofstream-write",       "raw-stderr-logging",
-      "signal-unsafe-in-handler", "lint-usage"};
-  return kRules;
-}
-
-}  // namespace dtrec::lint
+}  // namespace dtrec::analysis

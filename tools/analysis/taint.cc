@@ -205,32 +205,33 @@ std::vector<Finding> AnalyzePropensityTaint(const std::string& rel_path,
   };
 
   // Statement-wise walk. Statements end at depth-0 `;`, `{` or `}`
-  // (depth = parens/brackets, so for-headers stay whole).
+  // (depth = parens/brackets, so for-headers stay whole), and at the end
+  // of input, so a file's last unterminated statement (a `#define` before
+  // a header's closing `#endif`) is scanned too.
   size_t stmt_begin = 0;
   int nest = 0;  // () + [] nesting inside the current statement
-  for (size_t i = 0; i < n; ++i) {
-    const Token& t = tokens[i];
-    if (t.kind == TokKind::kPunct &&
-        (t.text == "(" || t.text == "[")) {
-      ++nest;
-      continue;
+  for (size_t i = 0; i <= n; ++i) {
+    if (i < n) {
+      const Token& t = tokens[i];
+      if (IsPunct(t, "(") || IsPunct(t, "[")) {
+        ++nest;
+        continue;
+      }
+      if (IsPunct(t, ")") || IsPunct(t, "]")) {
+        if (nest > 0) --nest;
+        continue;
+      }
+      const bool ends_statement =
+          (IsPunct(t, ";") && nest == 0) || IsPunct(t, "{") || IsPunct(t, "}");
+      if (!ends_statement) continue;
     }
-    if (t.kind == TokKind::kPunct &&
-        (t.text == ")" || t.text == "]")) {
-      if (nest > 0) --nest;
-      continue;
-    }
-    const bool ends_statement =
-        t.kind == TokKind::kPunct &&
-        ((t.text == ";" && nest == 0) || t.text == "{" || t.text == "}");
-    if (!ends_statement) continue;
 
     const size_t b = stmt_begin;
     const size_t e = i;  // exclusive of the terminator
     stmt_begin = i + 1;
     nest = 0;
 
-    if (IsPunct(t, "{") && OpensFunctionBody(tokens, i)) {
+    if (i < n && IsPunct(tokens[i], "{") && OpensFunctionBody(tokens, i)) {
       state = TaintState();
     }
 

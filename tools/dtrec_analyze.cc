@@ -1,5 +1,6 @@
-// dtrec_analyze — dataflow, layering and lock-discipline static analysis
-// for the dtrec tree; see tools/analysis/analysis.h for the rule
+// dtrec_analyze — static analysis for the dtrec tree: propensity taint,
+// layering, lock discipline and the lexical idiom rules, plus a check of
+// the root .clang-tidy; see tools/analysis/analysis.h for the rule
 // catalogue, suppression syntax and baseline grammar.
 //
 // Usage:
@@ -30,6 +31,7 @@
 
 #include "analysis/analysis.h"
 #include "analysis/layering.h"
+#include "analysis/lexical.h"
 
 namespace fs = std::filesystem;
 
@@ -78,7 +80,7 @@ std::string HexHash(uint64_t h) {
 
 // ---------------------------------------------------------------- cache
 // Text format, one record per file:
-//   dtrec-analyze-cache-v1
+//   dtrec-analyze-cache-v2
 //   file <rel_path> <hash-hex>
 //   include <line> <0|1> <path>
 //   finding <line> <rule> <message to end of line>
@@ -96,7 +98,7 @@ std::map<std::string, CacheEntry> LoadCache(const fs::path& path) {
   if (!ReadFile(path, &content)) return cache;
   std::istringstream in(content);
   std::string line;
-  if (!std::getline(in, line) || line != "dtrec-analyze-cache-v1") {
+  if (!std::getline(in, line) || line != "dtrec-analyze-cache-v2") {
     return cache;
   }
   std::string current;
@@ -134,9 +136,9 @@ void StoreCache(const fs::path& path,
                 const std::map<std::string, CacheEntry>& cache) {
   // The cache is derived state; losing it to a crash only costs a
   // re-analysis on the next run.
-  std::ofstream out(path, std::ios::binary);  // dtrec-lint: allow(raw-ofstream-write)
+  std::ofstream out(path, std::ios::binary);  // dtrec-analyze: allow(raw-ofstream-write)
   if (!out) return;
-  out << "dtrec-analyze-cache-v1\n";
+  out << "dtrec-analyze-cache-v2\n";
   for (const auto& [rel, entry] : cache) {
     out << "file " << rel << " " << entry.hash << "\n";
     for (const auto& site : entry.analysis.includes) {
@@ -297,6 +299,17 @@ int main(int argc, char** argv) {
                     analysis.findings.end());
   }
 
+  std::string tidy;
+  if (ReadFile(root_path / ".clang-tidy", &tidy)) {
+    auto tidy_findings =
+        dtrec::analysis::AnalyzeClangTidyConfig(".clang-tidy", tidy);
+    findings.insert(findings.end(), tidy_findings.begin(),
+                    tidy_findings.end());
+  } else {
+    findings.push_back({".clang-tidy", 1, "clang-tidy-config",
+                        ".clang-tidy is missing from the repo root"});
+  }
+
   auto layering =
       dtrec::analysis::AnalyzeLayering(includes_by_file, baseline.edges);
   findings.insert(findings.end(), layering.begin(), layering.end());
@@ -323,7 +336,7 @@ int main(int argc, char** argv) {
 
   if (!report_path.empty()) {
     // Derived output; re-running the analyzer recreates it.
-    std::ofstream out(report_path, std::ios::binary);  // dtrec-lint: allow(raw-ofstream-write)
+    std::ofstream out(report_path, std::ios::binary);  // dtrec-analyze: allow(raw-ofstream-write)
     if (!out) {
       std::cerr << "dtrec_analyze: cannot write report '" << report_path
                 << "'\n";
@@ -333,7 +346,7 @@ int main(int argc, char** argv) {
   }
   if (!sarif_path.empty()) {
     // Derived output; re-running the analyzer recreates it.
-    std::ofstream out(sarif_path, std::ios::binary);  // dtrec-lint: allow(raw-ofstream-write)
+    std::ofstream out(sarif_path, std::ios::binary);  // dtrec-analyze: allow(raw-ofstream-write)
     if (!out) {
       std::cerr << "dtrec_analyze: cannot write SARIF '" << sarif_path
                 << "'\n";
