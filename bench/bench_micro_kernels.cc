@@ -83,6 +83,20 @@ std::vector<bench::KernelBenchResult> RunKernelSweep(bool smoke) {
     shapes.push_back({"gemm", 256, 256, 256});
     shapes.push_back({"gemm_trans_a", 64, 256, 64});
     shapes.push_back({"gemm_trans_b", 943, 8, 1682});  // full predict matrix
+    // The DT training step's products: the propensity head's two layers
+    // forward (Coat and Yahoo batch shapes) and the first layer's two
+    // backward products.
+    shapes.push_back({"gemm", 1024, 48, 16});
+    shapes.push_back({"gemm", 1024, 16, 1});
+    shapes.push_back({"gemm", 2048, 24, 16});
+    shapes.push_back({"gemm_trans_a", 48, 1024, 16});
+    shapes.push_back({"gemm_trans_b", 1024, 16, 48});
+    // Either side of the A-packing rule: A read in place up to n = 64,
+    // packed above it.
+    shapes.push_back({"gemm", 1024, 48, 64});
+    shapes.push_back({"gemm", 1024, 48, 128});
+    shapes.push_back({"gemm_trans_a", 48, 1024, 64});
+    shapes.push_back({"gemm_trans_a", 48, 1024, 128});
   }
 
   std::vector<bench::KernelBenchResult> results;
@@ -93,7 +107,7 @@ std::vector<bench::KernelBenchResult> RunKernelSweep(bool smoke) {
     double flops = 2.0 * s.m * s.k * s.n;
 
     // Operands sized for the storage layout of each variant; the C buffer
-    // is shared (the kernels accumulate, which is harmless for timing).
+    // is shared (every kernel overwrites it).
     Matrix a, b;
     Matrix c(s.m, std::max<size_t>(s.n, 1));
     std::vector<double> y(s.m);

@@ -1,6 +1,8 @@
 #include "autograd/ops.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "tensor/ops.h"
 #include "util/logging.h"
@@ -37,6 +39,14 @@ Var Scalar(Op op, Var a, double value) {
 }
 
 Matrix& ValueOfNew(Var out) { return out.tape()->MutableNode(out).value; }
+
+/// All-ones bits where x > 0, else all-zero (NaN and ±0 fail the test).
+/// ReLU selects through it rather than branching on coin-flip signs: x's
+/// bits or +0.0 forward, `ga + g` or `ga` backward — the doubles the
+/// branchy `x > 0.0 ? x : 0.0` and `if (x > 0.0) ga += g` produce.
+inline uint64_t KeepMask(double x) {
+  return uint64_t{0} - static_cast<uint64_t>(x > 0.0);
+}
 
 }  // namespace
 
@@ -166,8 +176,9 @@ Var Square(Var a) {
 }
 
 Var Relu(Var a) {
-  return MapNode(Op::kRelu, a, [](double x) { return x > 0.0 ? x : 0.0; },
-                 "ag::Relu");
+  return MapNode(Op::kRelu, a, [](double x) {
+    return std::bit_cast<double>(std::bit_cast<uint64_t>(x) & KeepMask(x));
+  }, "ag::Relu");
 }
 
 Var Sum(Var a) { return Scalar(Op::kSum, a, a.value().Sum()); }
@@ -450,7 +461,10 @@ void Backprop(const Tape::Node& node, Tape::Node* a, Tape::Node* b,
       CheckSameShape(a->grad, grad);
       double* ga = a->grad.data();
       for (size_t i = 0; i < n; ++i) {
-        if (in[i] > 0.0) ga[i] += g[i];
+        const uint64_t keep = KeepMask(in[i]);
+        const uint64_t sum = std::bit_cast<uint64_t>(ga[i] + g[i]);
+        const uint64_t old = std::bit_cast<uint64_t>(ga[i]);
+        ga[i] = std::bit_cast<double>((sum & keep) | (old & ~keep));
       }
       return;
     }

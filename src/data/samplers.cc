@@ -1,8 +1,8 @@
 #include "data/samplers.h"
 
 #include <algorithm>
-#include <numeric>
-#include <utility>
+#include <bit>
+#include <cstdint>
 
 #include "util/logging.h"
 
@@ -50,34 +50,32 @@ FullMatrixBatchSampler::FullMatrixBatchSampler(const RatingDataset& dataset,
                                                uint64_t seed)
     : num_users_(dataset.num_users()),
       num_items_(dataset.num_items()),
-      rng_(seed) {
+      rng_(seed),
+      words_per_user_((num_items_ + 63) / 64) {
   DTREC_CHECK_GT(num_users_, 0u);
   DTREC_CHECK_GT(num_items_, 0u);
   const std::vector<RatingTriple>& train = dataset.train();
-  // Train positions sorted by cell, stably, so each duplicate run ends with
-  // the rating repeated assignment would keep.
-  std::vector<size_t> order(train.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  const auto cell = [&](size_t k) {
-    return std::make_pair(train[k].user, train[k].item);
-  };
-  std::stable_sort(order.begin(), order.end(),
-                   [&](size_t a, size_t b) { return cell(a) < cell(b); });
-  user_begin_.assign(num_users_ + 1, 0);
-  items_.reserve(order.size());
-  ratings_.reserve(order.size());
-  for (size_t k = 0; k < order.size(); ++k) {
-    if (k + 1 < order.size() && cell(order[k]) == cell(order[k + 1])) {
-      continue;
-    }
-    const RatingTriple& t = train[order[k]];
+  DTREC_CHECK_LE(train.size(), size_t{UINT32_MAX});  // ranks are 32-bit
+  observed_.assign(num_users_ * words_per_user_, 0);
+  for (const RatingTriple& t : train) {
     DTREC_CHECK_LT(t.user, num_users_);
-    items_.push_back(t.item);
-    ratings_.push_back(t.rating);
-    ++user_begin_[t.user + 1];
+    DTREC_CHECK_LT(t.item, num_items_);
+    observed_[t.user * words_per_user_ + t.item / 64] |=
+        uint64_t{1} << (t.item % 64);
   }
-  std::partial_sum(user_begin_.begin(), user_begin_.end(),
-                   user_begin_.begin());
+  rank_.resize(observed_.size());
+  uint32_t cells = 0;
+  for (size_t w = 0; w < observed_.size(); ++w) {
+    rank_[w] = cells;
+    cells += static_cast<uint32_t>(std::popcount(observed_[w]));
+  }
+  ratings_.resize(cells);
+  // Assigning in train order leaves each cell holding its last rating.
+  for (const RatingTriple& t : train) {
+    const size_t w = t.user * words_per_user_ + t.item / 64;
+    const uint64_t below = (uint64_t{1} << (t.item % 64)) - 1;
+    ratings_[rank_[w] + std::popcount(observed_[w] & below)] = t.rating;
+  }
 }
 
 Batch FullMatrixBatchSampler::Sample(size_t batch_size) {
@@ -102,15 +100,12 @@ Batch FullMatrixBatchSampler::Sample(size_t batch_size) {
 
 bool FullMatrixBatchSampler::Lookup(size_t user, size_t item,
                                     double* rating) const {
-  if (user >= num_users_) return false;
-  const auto first =
-      items_.begin() + static_cast<std::ptrdiff_t>(user_begin_[user]);
-  const auto last =
-      items_.begin() + static_cast<std::ptrdiff_t>(user_begin_[user + 1]);
-  const auto it = std::lower_bound(first, last, item);
-  if (it == last || *it != item) return false;
+  if (user >= num_users_ || item >= num_items_) return false;
+  const size_t w = user * words_per_user_ + item / 64;
+  const uint64_t bit = uint64_t{1} << (item % 64);
+  if ((observed_[w] & bit) == 0) return false;
   if (rating != nullptr) {
-    *rating = ratings_[static_cast<size_t>(it - items_.begin())];
+    *rating = ratings_[rank_[w] + std::popcount(observed_[w] & (bit - 1))];
   }
   return true;
 }

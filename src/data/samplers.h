@@ -61,8 +61,10 @@ class FullMatrixBatchSampler {
   /// Draws `batch_size` cells uniformly with replacement.
   Batch Sample(size_t batch_size);
 
-  /// True observed-rating lookup; returns false for unobserved cells. A
-  /// cell listed more than once in the train split reads its last rating.
+  /// True observed-rating lookup; returns false for unobserved cells and
+  /// for user or item ids out of range. A cell listed more than once in
+  /// the train split reads its last rating. O(1): one bitmap word, one
+  /// rank and one popcount.
   bool Lookup(size_t user, size_t item, double* rating) const;
 
   size_t num_users() const { return num_users_; }
@@ -76,11 +78,15 @@ class FullMatrixBatchSampler {
   size_t num_users_;
   size_t num_items_;
   Rng rng_;
-  // Observed train cells grouped by user (CSR): user u's cells are
-  // [user_begin_[u], user_begin_[u + 1]) of items_ / ratings_, with items
-  // ascending and unique, so Lookup is a binary search in one short row.
-  std::vector<size_t> user_begin_;
-  std::vector<size_t> items_;
+  // Observed train cells as a bitmap, one row of words_per_user_ 64-bit
+  // words per user: bit i % 64 of word u * words_per_user_ + i / 64 is set
+  // when (u, i) is observed. rank_[w] counts the set bits before word w,
+  // so cell (u, i)'s rating is ratings_[rank_[w] + set bits of w below
+  // bit i], the cells in (user, item) order. About 3·|U|·|I|/16 bytes of
+  // index: 17 KB on Coat, 14 MB on full KuaiRec.
+  size_t words_per_user_;
+  std::vector<uint64_t> observed_;
+  std::vector<uint32_t> rank_;
   std::vector<double> ratings_;
 };
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/atomic_file.h"
+#include "util/json.h"
 #include "util/string_util.h"
 #include "util/thread_annotations.h"
 
@@ -190,11 +191,14 @@ std::string FlushTraceJson() {
     for (const TraceEvent& e : copy) {
       if (!first) event_stream << ",\n";
       first = false;
-      event_stream << StrFormat(
-          "{\"name\": \"%s\", \"cat\": \"dtrec\", \"ph\": \"X\", "
-          "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %u",
-          e.name, static_cast<double>(e.begin_ns) / 1e3,
-          static_cast<double>(e.duration_ns) / 1e3, buffer_tid);
+      event_stream << "{\"name\": \"" << json::Escape(e.name) << "\", "
+                   << StrFormat(
+                          "\"cat\": \"dtrec\", \"ph\": \"X\", "
+                          "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, "
+                          "\"tid\": %u",
+                          static_cast<double>(e.begin_ns) / 1e3,
+                          static_cast<double>(e.duration_ns) / 1e3,
+                          buffer_tid);
       if (e.trace_id != 0) {
         event_stream << ", \"args\": {\"trace_id\": \""
                      << FormatTraceId(e.trace_id) << "\"}";

@@ -1,6 +1,7 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -14,8 +15,10 @@
 
 #if defined(__GNUC__) || defined(__clang__)
 #define DTREC_RESTRICT __restrict__
+#define DTREC_PREFETCH_FOR_WRITE(p) __builtin_prefetch((p), 1)
 #else
 #define DTREC_RESTRICT
+#define DTREC_PREFETCH_FOR_WRITE(p) ((void)(p))
 #endif
 
 namespace dtrec::kernels {
@@ -27,8 +30,8 @@ inline size_t RoundUp(size_t x, size_t to) { return (x + to - 1) / to * to; }
 /// ragged last strip. Element (i, p) of the logical block is read at
 /// a[i*rs + p*cs], so the same routine packs A (rs=lda, cs=1) and Aᵀ
 /// (rs=1, cs=lda). Panel layout: strip ir holds kc columns of kMr
-/// contiguous row entries each — exactly the order the micro-kernel
-/// consumes, one sequential read per iteration.
+/// contiguous row entries each, which the micro-kernel reads through
+/// strides (1, kMr) — one sequential read per iteration.
 void PackA(size_t mc, size_t kc, const double* a, size_t rs, size_t cs,
            double* pack) {
   for (size_t ir = 0; ir < mc; ir += kMr) {
@@ -55,17 +58,43 @@ void PackB(size_t kc, size_t nc, const double* b, size_t rs, size_t cs,
   }
 }
 
-/// kMr×kNr micro-kernel: rank-1 updates from one packed A strip and one
-/// packed B strip. `acc` must be zero-initialized by the caller; the
-/// kernel fills it with the kMr×kNr product tile. Three implementations
-/// selected at compile time: AVX2+FMA when the build enables those ISA
-/// flags, plain SSE2 on any x86-64 (part of the base ABI, so the default
-/// -O2 build gets vector code without -march), scalar otherwise.
+/// Writes the mr×nr corner of a spilled kMr×kNr tile into C: 0.0 + t on
+/// the first kKc block, C + t on later ones.
+inline void StoreTile(const double* tile, size_t mr, size_t nr, bool first,
+                      double* c, size_t ldc) {
+  for (size_t r = 0; r < mr; ++r) {
+    double* crow = c + r * ldc;
+    for (size_t j = 0; j < nr; ++j) {
+      crow[j] = (first ? 0.0 : crow[j]) + tile[r * kNr + j];
+    }
+  }
+}
+
+/// kMr×kNr micro-kernel over one kKc block: rank-1 updates from an A strip
+/// and one packed B strip into accumulators that start at +0, which then
+/// land in the mr×nr tile of C as 0.0 + acc on the first block (`first`)
+/// and C + acc on later ones. Element (r, p) of the A strip is read at
+/// a[r*rs + p*cs]: A in place is (lda, 1), Aᵀ in place (1, lda), a packed
+/// strip (1, kMr). A full tile goes to C straight from the registers; an
+/// edge tile (mr < kMr or nr < kNr) is spilled to StoreTile. Three
+/// implementations selected at compile time: AVX2+FMA when the build
+/// enables those ISA flags, plain SSE2 on any x86-64 (part of the base
+/// ABI, so the default -O2 build gets vector code without -march), scalar
+/// otherwise.
 #if defined(DTREC_KERNEL_AVX2)
 
-inline void MicroKernel(size_t kc, const double* DTREC_RESTRICT pa,
-                        const double* DTREC_RESTRICT pb,
-                        double* DTREC_RESTRICT acc) {
+/// One tile row of C ← (first ? 0.0 : C) + its two accumulators.
+inline void PutRow(double* crow, bool first, __m256d lo, __m256d hi) {
+  const __m256d c0 = first ? _mm256_setzero_pd() : _mm256_loadu_pd(crow);
+  const __m256d c1 = first ? _mm256_setzero_pd() : _mm256_loadu_pd(crow + 4);
+  _mm256_storeu_pd(crow, _mm256_add_pd(c0, lo));
+  _mm256_storeu_pd(crow + 4, _mm256_add_pd(c1, hi));
+}
+
+inline void MicroKernel(size_t kc, const double* DTREC_RESTRICT a, size_t rs,
+                        size_t cs, const double* DTREC_RESTRICT pb, bool first,
+                        double* DTREC_RESTRICT c, size_t ldc, size_t mr,
+                        size_t nr) {
   static_assert(kMr == 4 && kNr == 8, "micro-kernel is tiled for 4x8");
   // 4 rows × (2 × 4-double ymm) accumulators = 8 registers, plus 2 for
   // the B row and 1 broadcast — comfortably inside the 16-ymm budget.
@@ -73,39 +102,65 @@ inline void MicroKernel(size_t kc, const double* DTREC_RESTRICT pa,
   __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
   __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
   __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
+  const double* a0 = a;
+  const double* a1 = a0 + rs;
+  const double* a2 = a1 + rs;
+  const double* a3 = a2 + rs;
   for (size_t p = 0; p < kc; ++p) {
     const __m256d b0 = _mm256_loadu_pd(pb + p * kNr);
     const __m256d b1 = _mm256_loadu_pd(pb + p * kNr + 4);
-    const double* ap = pa + p * kMr;
-    __m256d a = _mm256_broadcast_sd(ap);
-    c00 = _mm256_fmadd_pd(a, b0, c00);
-    c01 = _mm256_fmadd_pd(a, b1, c01);
-    a = _mm256_broadcast_sd(ap + 1);
-    c10 = _mm256_fmadd_pd(a, b0, c10);
-    c11 = _mm256_fmadd_pd(a, b1, c11);
-    a = _mm256_broadcast_sd(ap + 2);
-    c20 = _mm256_fmadd_pd(a, b0, c20);
-    c21 = _mm256_fmadd_pd(a, b1, c21);
-    a = _mm256_broadcast_sd(ap + 3);
-    c30 = _mm256_fmadd_pd(a, b0, c30);
-    c31 = _mm256_fmadd_pd(a, b1, c31);
+    const size_t off = p * cs;
+    __m256d av = _mm256_broadcast_sd(a0 + off);
+    c00 = _mm256_fmadd_pd(av, b0, c00);
+    c01 = _mm256_fmadd_pd(av, b1, c01);
+    av = _mm256_broadcast_sd(a1 + off);
+    c10 = _mm256_fmadd_pd(av, b0, c10);
+    c11 = _mm256_fmadd_pd(av, b1, c11);
+    av = _mm256_broadcast_sd(a2 + off);
+    c20 = _mm256_fmadd_pd(av, b0, c20);
+    c21 = _mm256_fmadd_pd(av, b1, c21);
+    av = _mm256_broadcast_sd(a3 + off);
+    c30 = _mm256_fmadd_pd(av, b0, c30);
+    c31 = _mm256_fmadd_pd(av, b1, c31);
   }
-  _mm256_storeu_pd(acc + 0 * kNr, c00);
-  _mm256_storeu_pd(acc + 0 * kNr + 4, c01);
-  _mm256_storeu_pd(acc + 1 * kNr, c10);
-  _mm256_storeu_pd(acc + 1 * kNr + 4, c11);
-  _mm256_storeu_pd(acc + 2 * kNr, c20);
-  _mm256_storeu_pd(acc + 2 * kNr + 4, c21);
-  _mm256_storeu_pd(acc + 3 * kNr, c30);
-  _mm256_storeu_pd(acc + 3 * kNr + 4, c31);
+  if (mr == kMr && nr == kNr) {
+    PutRow(c, first, c00, c01);
+    PutRow(c + ldc, first, c10, c11);
+    PutRow(c + 2 * ldc, first, c20, c21);
+    PutRow(c + 3 * ldc, first, c30, c31);
+    return;
+  }
+  double tile[kMr * kNr];
+  _mm256_storeu_pd(tile + 0 * kNr, c00);
+  _mm256_storeu_pd(tile + 0 * kNr + 4, c01);
+  _mm256_storeu_pd(tile + 1 * kNr, c10);
+  _mm256_storeu_pd(tile + 1 * kNr + 4, c11);
+  _mm256_storeu_pd(tile + 2 * kNr, c20);
+  _mm256_storeu_pd(tile + 2 * kNr + 4, c21);
+  _mm256_storeu_pd(tile + 3 * kNr, c30);
+  _mm256_storeu_pd(tile + 3 * kNr + 4, c31);
+  StoreTile(tile, mr, nr, first, c, ldc);
 }
 
 #elif defined(DTREC_KERNEL_SSE2)
 
-inline void MicroKernel(size_t kc, const double* DTREC_RESTRICT pa,
-                        const double* DTREC_RESTRICT pb,
-                        double* DTREC_RESTRICT acc) {
+/// Two entries of C ← (first ? 0.0 : C) + an accumulator pair.
+inline void PutPair(double* cp, bool first, __m128d acc) {
+  const __m128d base = first ? _mm_setzero_pd() : _mm_loadu_pd(cp);
+  _mm_storeu_pd(cp, _mm_add_pd(base, acc));
+}
+
+inline void MicroKernel(size_t kc, const double* DTREC_RESTRICT a, size_t rs,
+                        size_t cs, const double* DTREC_RESTRICT pb, bool first,
+                        double* DTREC_RESTRICT c, size_t ldc, size_t mr,
+                        size_t nr) {
   static_assert(kMr == 4 && kNr == 8, "micro-kernel is tiled for 4x8");
+  const bool full = mr == kMr && nr == kNr;
+  double tile[kMr * kNr];
+  const double* a0 = a;
+  const double* a1 = a0 + rs;
+  const double* a2 = a1 + rs;
+  const double* a3 = a2 + rs;
   // The 4×8 tile is processed as two independent 4×4 half-tiles so each
   // pass needs 8 accumulator xmm registers + 2 B registers + 1 broadcast,
   // fitting the 16-xmm budget without spills (a single 4×8 pass would
@@ -119,46 +174,61 @@ inline void MicroKernel(size_t kc, const double* DTREC_RESTRICT pa,
     for (size_t p = 0; p < kc; ++p) {
       const __m128d b0 = _mm_loadu_pd(b + p * kNr);
       const __m128d b1 = _mm_loadu_pd(b + p * kNr + 2);
-      const double* ap = pa + p * kMr;
-      __m128d a = _mm_set1_pd(ap[0]);
-      c00 = _mm_add_pd(c00, _mm_mul_pd(a, b0));
-      c01 = _mm_add_pd(c01, _mm_mul_pd(a, b1));
-      a = _mm_set1_pd(ap[1]);
-      c10 = _mm_add_pd(c10, _mm_mul_pd(a, b0));
-      c11 = _mm_add_pd(c11, _mm_mul_pd(a, b1));
-      a = _mm_set1_pd(ap[2]);
-      c20 = _mm_add_pd(c20, _mm_mul_pd(a, b0));
-      c21 = _mm_add_pd(c21, _mm_mul_pd(a, b1));
-      a = _mm_set1_pd(ap[3]);
-      c30 = _mm_add_pd(c30, _mm_mul_pd(a, b0));
-      c31 = _mm_add_pd(c31, _mm_mul_pd(a, b1));
+      const size_t off = p * cs;
+      __m128d av = _mm_set1_pd(a0[off]);
+      c00 = _mm_add_pd(c00, _mm_mul_pd(av, b0));
+      c01 = _mm_add_pd(c01, _mm_mul_pd(av, b1));
+      av = _mm_set1_pd(a1[off]);
+      c10 = _mm_add_pd(c10, _mm_mul_pd(av, b0));
+      c11 = _mm_add_pd(c11, _mm_mul_pd(av, b1));
+      av = _mm_set1_pd(a2[off]);
+      c20 = _mm_add_pd(c20, _mm_mul_pd(av, b0));
+      c21 = _mm_add_pd(c21, _mm_mul_pd(av, b1));
+      av = _mm_set1_pd(a3[off]);
+      c30 = _mm_add_pd(c30, _mm_mul_pd(av, b0));
+      c31 = _mm_add_pd(c31, _mm_mul_pd(av, b1));
     }
-    double* out = acc + half;
-    _mm_storeu_pd(out + 0 * kNr, c00);
-    _mm_storeu_pd(out + 0 * kNr + 2, c01);
-    _mm_storeu_pd(out + 1 * kNr, c10);
-    _mm_storeu_pd(out + 1 * kNr + 2, c11);
-    _mm_storeu_pd(out + 2 * kNr, c20);
-    _mm_storeu_pd(out + 2 * kNr + 2, c21);
-    _mm_storeu_pd(out + 3 * kNr, c30);
-    _mm_storeu_pd(out + 3 * kNr + 2, c31);
+    if (full) {
+      double* out = c + half;
+      PutPair(out, first, c00);
+      PutPair(out + 2, first, c01);
+      PutPair(out + ldc, first, c10);
+      PutPair(out + ldc + 2, first, c11);
+      PutPair(out + 2 * ldc, first, c20);
+      PutPair(out + 2 * ldc + 2, first, c21);
+      PutPair(out + 3 * ldc, first, c30);
+      PutPair(out + 3 * ldc + 2, first, c31);
+    } else {
+      double* out = tile + half;
+      _mm_storeu_pd(out + 0 * kNr, c00);
+      _mm_storeu_pd(out + 0 * kNr + 2, c01);
+      _mm_storeu_pd(out + 1 * kNr, c10);
+      _mm_storeu_pd(out + 1 * kNr + 2, c11);
+      _mm_storeu_pd(out + 2 * kNr, c20);
+      _mm_storeu_pd(out + 2 * kNr + 2, c21);
+      _mm_storeu_pd(out + 3 * kNr, c30);
+      _mm_storeu_pd(out + 3 * kNr + 2, c31);
+    }
   }
+  if (!full) StoreTile(tile, mr, nr, first, c, ldc);
 }
 
 #else  // portable scalar fallback
 
-inline void MicroKernel(size_t kc, const double* DTREC_RESTRICT pa,
-                        const double* DTREC_RESTRICT pb,
-                        double* DTREC_RESTRICT acc) {
+inline void MicroKernel(size_t kc, const double* DTREC_RESTRICT a, size_t rs,
+                        size_t cs, const double* DTREC_RESTRICT pb, bool first,
+                        double* DTREC_RESTRICT c, size_t ldc, size_t mr,
+                        size_t nr) {
+  double acc[kMr * kNr] = {0.0};
   for (size_t p = 0; p < kc; ++p) {
-    const double* a = pa + p * kMr;
     const double* b = pb + p * kNr;
     for (size_t r = 0; r < kMr; ++r) {
-      const double ar = a[r];
+      const double ar = a[r * rs + p * cs];
       double* accr = acc + r * kNr;
       for (size_t j = 0; j < kNr; ++j) accr[j] += ar * b[j];
     }
   }
+  StoreTile(acc, mr, nr, first, c, ldc);
 }
 
 #endif
@@ -280,12 +350,29 @@ inline void QuantizedDot4(size_t k, const int8_t* DTREC_RESTRICT a,
 
 #endif
 
-/// Shared blocked core: C += op(A)·op(B) with the operand transposes
-/// expressed as (row, col) strides for the packing routines.
+/// Above this many kNr-column strips in op(B), each A strip is reused by
+/// enough B strips that packing it pays, and C is too wide to stay cached
+/// from one tile to the next; at or below it (n ≤ 64, the training step's
+/// skinny products) the micro-kernel reads A in place and C stays cached.
+constexpr size_t kWideStrips = 8;
+
+/// Shared blocked core: C = op(A)·op(B) with the operand transposes
+/// expressed as (row, col) strides. Per output, each kKc block is one
+/// chain from +0, and the blocks land in C in order: 0.0 + chain for the
+/// first, C + chain after it. So C's prior contents are never read as a
+/// start value, and k = 0 writes the empty sum, +0.
 void GemmStrided(size_t m, size_t n, size_t k, const double* a, size_t ars,
                  size_t acs, const double* b, size_t brs, size_t bcs,
                  double* c, size_t ldc) {
-  if (m == 0 || n == 0 || k == 0) return;
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    for (size_t i = 0; i < m; ++i) std::fill_n(c + i * ldc, n, 0.0);
+    return;
+  }
+  // When op(B) is wide, A is packed whole and C's tiles are prefetched;
+  // otherwise only a ragged last strip of A is packed, because reading it
+  // in place would run past row m.
+  const bool wide = n > kWideStrips * kNr;
   // Pack buffers are kept per thread and grow to the largest problem the
   // thread has seen (at most one full kMc×kKc + kKc×kNc panel pair, 1.2 MB),
   // so the many small matmuls of a training step allocate nothing. Packing
@@ -293,7 +380,8 @@ void GemmStrided(size_t m, size_t n, size_t k, const double* a, size_t ars,
   // never leak into a product.
   thread_local std::vector<double> packa;
   thread_local std::vector<double> packb;
-  const size_t packa_size = RoundUp(std::min(m, kMc), kMr) * std::min(k, kKc);
+  const size_t packa_rows = wide ? RoundUp(std::min(m, kMc), kMr) : kMr;
+  const size_t packa_size = packa_rows * std::min(k, kKc);
   const size_t packb_size = RoundUp(std::min(n, kNc), kNr) * std::min(k, kKc);
   if (packa.size() < packa_size) packa.resize(packa_size);
   if (packb.size() < packb_size) packb.resize(packb_size);
@@ -301,23 +389,39 @@ void GemmStrided(size_t m, size_t n, size_t k, const double* a, size_t ars,
     const size_t nc = std::min(kNc, n - jc);
     for (size_t pc = 0; pc < k; pc += kKc) {
       const size_t kc = std::min(kKc, k - pc);
+      const bool first = pc == 0;
       PackB(kc, nc, b + pc * brs + jc * bcs, brs, bcs, packb.data());
       for (size_t ic = 0; ic < m; ic += kMc) {
         const size_t mc = std::min(kMc, m - ic);
-        PackA(mc, kc, a + ic * ars + pc * acs, ars, acs, packa.data());
+        const double* ablock = a + ic * ars + pc * acs;
+        // Rows [0, in_place) of the block are read where they lie, the
+        // rest from the packed panel.
+        const size_t in_place = wide ? 0 : mc - mc % kMr;
+        if (in_place < mc) {
+          PackA(mc - in_place, kc, ablock + in_place * ars, ars, acs,
+                packa.data());
+        }
         for (size_t jr = 0; jr < nc; jr += kNr) {
           const size_t nr = std::min(kNr, nc - jr);
           for (size_t ir = 0; ir < mc; ir += kMr) {
             const size_t mr = std::min(kMr, mc - ir);
-            double acc[kMr * kNr] = {0.0};
-            MicroKernel(kc, packa.data() + ir * kc, packb.data() + jr * kc,
-                        acc);
+            const bool packed = ir >= in_place;
+            const double* astrip = packed
+                                       ? packa.data() + (ir - in_place) * kc
+                                       : ablock + ir * ars;
             double* ctile = c + (ic + ir) * ldc + jc + jr;
-            for (size_t r = 0; r < mr; ++r) {
-              for (size_t j = 0; j < nr; ++j) {
-                ctile[r * ldc + j] += acc[r * kNr + j];
+            // A wide C does not stay cached from tile to tile, and stores
+            // that miss stall the kernel: ask for the tile's rows first.
+            // (Inline, not in a helper: GCC drops calls to a function that
+            // only prefetches, as if it had no effect.)
+            if (wide) {
+              for (size_t r = 0; r < mr; ++r) {
+                DTREC_PREFETCH_FOR_WRITE(ctile + r * ldc);
+                DTREC_PREFETCH_FOR_WRITE(ctile + r * ldc + nr - 1);
               }
             }
+            MicroKernel(kc, astrip, packed ? 1 : ars, packed ? kMr : acs,
+                        packb.data() + jr * kc, first, ctile, ldc, mr, nr);
           }
         }
       }
@@ -408,45 +512,56 @@ void QuantizedRowDot(size_t m, size_t k, const int8_t* a, size_t lda,
 }
 
 namespace naive {
+namespace {
+
+/// One step of an output's chain in the micro-kernel's arithmetic: fused
+/// multiply-add under AVX2+FMA, multiply-then-add otherwise.
+inline double MulAdd(double x, double y, double acc) {
+#if defined(DTREC_KERNEL_AVX2)
+  return std::fma(x, y, acc);
+#else
+  return acc + x * y;
+#endif
+}
+
+/// C = op(A)·op(B), op(A)(i, p) at a[i*ars + p*acs] and op(B)(p, j) at
+/// b[p*brs + j*bcs], in the blocked core's exact order: per output, one
+/// MulAdd chain from +0 per kKc block, the chains added in block order to
+/// a sum that starts at +0.
+void GemmReference(size_t m, size_t n, size_t k, const double* a, size_t ars,
+                   size_t acs, const double* b, size_t brs, size_t bcs,
+                   double* c, size_t ldc) {
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      double sum = 0.0;
+      for (size_t pc = 0; pc < k; pc += kKc) {
+        const size_t end = std::min(k, pc + kKc);
+        double chain = 0.0;
+        for (size_t p = pc; p < end; ++p) {
+          chain = MulAdd(a[i * ars + p * acs], b[p * brs + j * bcs], chain);
+        }
+        sum += chain;
+      }
+      c[i * ldc + j] = sum;
+    }
+  }
+}
+
+}  // namespace
 
 void Gemm(size_t m, size_t n, size_t k, const double* a, size_t lda,
           const double* b, size_t ldb, double* c, size_t ldc) {
-  for (size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * lda;
-    double* crow = c + i * ldc;
-    for (size_t p = 0; p < k; ++p) {
-      const double aip = arow[p];
-      const double* brow = b + p * ldb;
-      for (size_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
-    }
-  }
+  GemmReference(m, n, k, a, lda, 1, b, ldb, 1, c, ldc);
 }
 
 void GemmTransA(size_t m, size_t n, size_t k, const double* a, size_t lda,
                 const double* b, size_t ldb, double* c, size_t ldc) {
-  for (size_t p = 0; p < k; ++p) {
-    const double* arow = a + p * lda;
-    const double* brow = b + p * ldb;
-    for (size_t i = 0; i < m; ++i) {
-      const double api = arow[i];
-      double* crow = c + i * ldc;
-      for (size_t j = 0; j < n; ++j) crow[j] += api * brow[j];
-    }
-  }
+  GemmReference(m, n, k, a, 1, lda, b, ldb, 1, c, ldc);
 }
 
 void GemmTransB(size_t m, size_t n, size_t k, const double* a, size_t lda,
                 const double* b, size_t ldb, double* c, size_t ldc) {
-  for (size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * lda;
-    double* crow = c + i * ldc;
-    for (size_t j = 0; j < n; ++j) {
-      const double* brow = b + j * ldb;
-      double s = 0.0;
-      for (size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      crow[j] += s;
-    }
-  }
+  GemmReference(m, n, k, a, lda, 1, b, 1, ldb, c, ldc);
 }
 
 void BatchedRowDot(size_t m, size_t k, const double* a, size_t lda,

@@ -8,23 +8,32 @@ namespace dtrec::kernels {
 
 // Cache-tiled, register-blocked double-precision GEMM layer.
 //
-// This is the single place every dense matmul in dtrec lands: the
-// tensor-level MatMul/MatMulTransA/MatMulTransB free functions, the
-// autograd matmul forward/backward, and serving's ScoreAllItems all route
-// here. Future SIMD/threading work plugs into this file and nothing else.
+// Every dense matmul in dtrec lands here: the tensor-level
+// MatMul/MatMulTransA/MatMulTransB free functions and, through them, the
+// autograd matmul forward/backward. Serving scores through the row-dot
+// kernels below (BatchedRowDot, QuantizedRowDot), not through GEMM.
 //
-// Layout follows the classic BLIS/GotoBLAS decomposition: the operand
-// panels are packed into contiguous micro-panel-major buffers (A in
-// kMr-row strips, B in kNr-column strips, both zero-padded to full
-// strips), and an MR×NR register-accumulator micro-kernel streams through
-// one packed A strip and one packed B strip per (ir, jr) tile. Packing
-// takes strided element accessors, so the transposed variants reuse the
-// same core instead of materializing Aᵀ/Bᵀ.
+// Layout follows the classic BLIS/GotoBLAS decomposition, loop order
+// jc → pc → ic → jr → ir: B is packed into zero-padded kNr-column strips,
+// and an MR×NR register-accumulator micro-kernel streams one A strip
+// against one packed B strip per (ir, jr) tile. The micro-kernel reads A
+// through (row, col) strides, so it runs on A in place — (lda, 1), or
+// (1, lda) for Aᵀ — and the transposed variants share one core without
+// materializing Aᵀ/Bᵀ. A is packed into kMr-row strips (strides (1, kMr))
+// only where that pays or is needed: all of it when op(B) spans more than
+// 8 column strips (n > 64), where each strip is reused across many B
+// strips, and otherwise just a ragged last strip (m % kMr rows), which
+// read in place would run past row m. A full tile goes from the registers
+// straight into C; on the wide path its rows of C are prefetched first.
 //
-// All entry points *accumulate* into C (callers zero-initialize), operate
-// on raw row-major buffers with explicit leading dimensions, and do no
-// numeric checking of their own — the tensor/ops.cc wrappers run one
-// whole-matrix DTREC_ASSERT_FINITE on the finished result instead of
+// The GEMM entry points *overwrite* C: per output, each kKc block of the
+// inner dimension is one multiply-add chain from +0 (fused under
+// AVX2+FMA, multiply-then-add otherwise), and C is defined as
+// 0.0 + block₁ + block₂ + … in block order, so the first block stores
+// 0.0 + chain and k = 0 stores +0. m = 0 or n = 0 touches nothing. They
+// operate on raw row-major buffers with explicit leading dimensions, and
+// do no numeric checking of their own — the tensor/ops.cc wrappers run
+// one whole-matrix DTREC_ASSERT_FINITE on the finished result instead of
 // per-element (or per-row) guards inside hot loops.
 
 /// Micro-tile geometry, exposed so the equivalence tests can probe exact
@@ -36,16 +45,16 @@ inline constexpr size_t kMc = 64;
 inline constexpr size_t kKc = 256;
 inline constexpr size_t kNc = 512;
 
-/// C += A·B. A is m×k (leading dim lda), B is k×n (ldb), C is m×n (ldc).
+/// C = A·B. A is m×k (leading dim lda), B is k×n (ldb), C is m×n (ldc).
 void Gemm(size_t m, size_t n, size_t k, const double* a, size_t lda,
           const double* b, size_t ldb, double* c, size_t ldc);
 
-/// C += Aᵀ·B. A is stored k×m row-major (lda), producing an m×n C; avoids
-/// materializing Aᵀ by packing A with swapped strides.
+/// C = Aᵀ·B. A is stored k×m row-major (lda), producing an m×n C; Aᵀ is
+/// read through swapped strides, never materialized.
 void GemmTransA(size_t m, size_t n, size_t k, const double* a, size_t lda,
                 const double* b, size_t ldb, double* c, size_t ldc);
 
-/// C += A·Bᵀ. B is stored n×k row-major (ldb), producing an m×n C.
+/// C = A·Bᵀ. B is stored n×k row-major (ldb), producing an m×n C.
 void GemmTransB(size_t m, size_t n, size_t k, const double* a, size_t lda,
                 const double* b, size_t ldb, double* c, size_t ldc);
 
@@ -78,11 +87,13 @@ void QuantizedRowDot(size_t m, size_t k, const int8_t* a, size_t lda,
 // differently. KernelsTest.BatchedRowDotLanesArePositionIndependent pins
 // this contract.
 
-// Naive reference kernels: the seed's triple loops, minus the data-
-// dependent `aik == 0` sparsity skip (which silently turned 0·NaN into 0).
-// Kept as the ground truth for the kernel-equivalence test suite and as
-// the baseline the perf-regression bench compares against. Same
-// accumulate-into-C contract as the blocked kernels.
+// Naive reference kernels: the ground truth for the kernel-equivalence
+// test suite and the baseline the kernel bench compares against. The GEMM
+// references are exact: one loop per output that keeps the blocked
+// order (a chain from +0 per kKc block, the blocks added in order) with
+// the micro-kernel's multiply-add, so the blocked kernels must match them
+// bit for bit. Same overwrite contract as the blocked kernels. No data-
+// dependent skips (the seed's `aik == 0` shortcut turned 0·NaN into 0).
 namespace naive {
 
 void Gemm(size_t m, size_t n, size_t k, const double* a, size_t lda,

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -100,7 +101,8 @@ class Matrix {
   /// Changes the shape to rows×cols in place. The allocation is kept
   /// whenever it is already large enough, which is how the autograd
   /// workspace and the out-parameter kernels in tensor/ops.h reuse buffers
-  /// across steps. Entry values are unspecified afterwards.
+  /// across steps. Entry values are unspecified afterwards: entries the
+  /// shape gains are not written, not even zero-filled.
   void Resize(size_t rows, size_t cols) {
     rows_ = rows;
     cols_ = cols;
@@ -148,9 +150,30 @@ class Matrix {
   std::string DebugString(size_t max_rows = 6, size_t max_cols = 8) const;
 
  private:
+  /// std::allocator whose value-less construct default-initializes, so a
+  /// growing resize() leaves the new doubles unwritten instead of
+  /// zero-filling them. Constructing with a value (the fill constructor,
+  /// copies, insert) still writes it.
+  template <typename T>
+  struct DefaultInitAllocator {
+    using value_type = T;
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}
+    T* allocate(size_t n) { return std::allocator<T>().allocate(n); }
+    void deallocate(T* p, size_t n) noexcept {
+      std::allocator<T>().deallocate(p, n);
+    }
+    template <typename U>
+    void construct(U* p) noexcept {
+      std::uninitialized_default_construct_n(p, 1);
+    }
+    bool operator==(const DefaultInitAllocator&) const = default;
+  };
+
   size_t rows_ = 0;
   size_t cols_ = 0;
-  std::vector<double> data_;
+  std::vector<double, DefaultInitAllocator<double>> data_;
 };
 
 /// Exact element-wise equality (mostly for tests).

@@ -9,7 +9,8 @@
 namespace dtrec {
 
 // The three matmuls route through the blocked kernel layer
-// (tensor/kernels.h). No data-dependent skips here: the seed's
+// (tensor/kernels.h), which overwrites the resized output, so nothing
+// zero-fills it first. No data-dependent skips here: the seed's
 // `aik == 0.0` shortcut changed IEEE semantics (0·NaN became 0, hiding a
 // NaN/Inf in the other operand from the post-hoc finiteness check) and
 // put an unpredictable branch in the dense hot loop.
@@ -23,7 +24,6 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   DTREC_CHECK_EQ(a.cols(), b.rows());
   out->Resize(a.rows(), b.cols());
-  out->SetZero();
   kernels::Gemm(a.rows(), b.cols(), a.cols(), a.data(), a.cols(), b.data(),
                 b.cols(), out->data(), out->cols());
   DTREC_ASSERT_FINITE(*out, "MatMul");
@@ -38,7 +38,6 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
 void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out) {
   DTREC_CHECK_EQ(a.rows(), b.rows());
   out->Resize(a.cols(), b.cols());
-  out->SetZero();
   kernels::GemmTransA(a.cols(), b.cols(), a.rows(), a.data(), a.cols(),
                       b.data(), b.cols(), out->data(), out->cols());
   DTREC_ASSERT_FINITE(*out, "MatMulTransA");
@@ -53,7 +52,6 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
 void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out) {
   DTREC_CHECK_EQ(a.cols(), b.cols());
   out->Resize(a.rows(), b.rows());
-  out->SetZero();
   kernels::GemmTransB(a.rows(), b.rows(), a.cols(), a.data(), a.cols(),
                       b.data(), b.cols(), out->data(), out->cols());
   DTREC_ASSERT_FINITE(*out, "MatMulTransB");

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -9,6 +12,7 @@
 #include "autograd/ops.h"
 #include "autograd/tape.h"
 #include "tensor/ops.h"
+#include "util/numeric_guard.h"
 #include "util/random.h"
 
 namespace dtrec {
@@ -442,6 +446,75 @@ TEST(TapeWorkspaceTest, ResetKeepsNodeBuffers) {
   ExpectBitEqual(b.grad(), Matrix(4, 4));  // zeroed, not stale
 }
 
+/// A propensity-head-shaped graph (gather, pair features, two matmuls,
+/// ReLU, BCE and rating losses, Gram reg) whose batch size sets the shape
+/// of every node after the leaves, so two batch sizes put different
+/// shapes at the same node indices.
+GraphA BuildHeadGraph(ag::Tape* t, size_t batch) {
+  std::vector<size_t> users(batch), items(batch);
+  Matrix labels(batch, 1), weights(batch, 1);
+  for (size_t i = 0; i < batch; ++i) {
+    users[i] = (5 * i + 1) % 7;
+    items[i] = (3 * i) % 9;
+    labels(i, 0) = static_cast<double>(i % 2);
+    weights(i, 0) = 0.5 * static_cast<double>(i % 3);
+  }
+  GraphA g;
+  ag::Var vp = t->Leaf(RandomMat(7, 4, 60, 0.5));
+  ag::Var vq = t->Leaf(RandomMat(9, 4, 61, 0.5));
+  ag::Var vw1 = t->Leaf(RandomMat(12, 5, 62, 0.5));
+  ag::Var vw2 = t->Leaf(RandomMat(5, 1, 63, 0.5));
+  ag::Var pu = ag::GatherRows(vp, users);
+  ag::Var qi = ag::GatherRows(vq, items);
+  ag::Var hidden = ag::Relu(ag::MatMul(ag::PairFeatures(pu, qi), vw1));
+  ag::Var logits = ag::MatMul(hidden, vw2);
+  ag::Var bce = ag::SigmoidBceSum(logits, labels, weights);
+  ag::Var rating = ag::SigmoidSquaredErrorSum(ag::RowwiseDot(pu, qi),
+                                             labels, weights);
+  ag::Var reg = ag::GramFrobeniusSq(vp, vq);
+  g.loss = ag::Add(ag::Add(bce, rating), ag::Scale(reg, 1e-2));
+  g.nodes = {vp, vq, vw1, vw2, pu, qi, hidden, logits, bce, rating, reg,
+             g.loss};
+  return g;
+}
+
+TEST(TapeWorkspaceTest, AlternatingGraphsOverStaleNaNMatchFreshTapes) {
+  // DT-DR's pattern: one tape alternates the prediction graph and a larger
+  // imputation graph at the same node indices. Buffers keep what the last
+  // graph left (grown entries are not even zero-filled), so every op must
+  // write all of its value. A first graph leaves NaN in every value buffer
+  // at the largest shape; any entry an op leaves unwritten then shows.
+  constexpr size_t kSmall = 6, kLarge = 40;
+  ag::Tape fresh_small, fresh_large;
+  const GraphA small = BuildHeadGraph(&fresh_small, kSmall);
+  fresh_small.Backward(small.loss);
+  const GraphA large = BuildHeadGraph(&fresh_large, kLarge);
+  fresh_large.Backward(large.loss);
+
+  ag::Tape reused;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t i = 0; i < fresh_large.num_nodes(); ++i) {
+    (void)reused.Leaf(Matrix(3 * kLarge, 12, nan));
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (const bool use_large : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "round " << round << " large "
+                                      << use_large);
+      reused.Reset();
+      const GraphA& want = use_large ? large : small;
+      const GraphA got = BuildHeadGraph(&reused, use_large ? kLarge : kSmall);
+      reused.Backward(got.loss);
+      ASSERT_EQ(reused.num_nodes(), use_large ? fresh_large.num_nodes()
+                                              : fresh_small.num_nodes());
+      for (size_t i = 0; i < want.nodes.size(); ++i) {
+        SCOPED_TRACE(i);
+        ExpectBitEqual(got.nodes[i].value(), want.nodes[i].value());
+        ExpectBitEqual(got.nodes[i].grad(), want.nodes[i].grad());
+      }
+    }
+  }
+}
+
 TEST(TapeDeathTest, VarKeptAcrossResetDies) {
   ag::Tape tape;
   ag::Var stale = tape.Leaf(Matrix{{1.0}});
@@ -537,6 +610,50 @@ TEST(FusedOpTest, SigmoidSquaredErrorSumBitMatchesUnfusedChain) {
   chain_tape.Backward(chain_loss);
   ExpectBitEqual(fused_loss.value(), chain_loss.value());
   ExpectBitEqual(fused_logits.grad(), chain_logits.grad());
+}
+
+TEST(FusedOpTest, ReluMaskFormsMatchBranchyRule) {
+  // ReLU selects through a bit mask instead of branching. Forward must
+  // give the bits of `x > 0.0 ? x : 0.0` and backward those of
+  // `if (x > 0.0) ga += g`, over signed zeros, NaN, infinities,
+  // subnormals and ±1 — including a parent gradient that already holds
+  // −0.0, which an unselected element must keep.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  std::vector<double> xs = {-0.0, 0.0, nan, -inf, sub, -sub, 1.0, -1.0};
+  // ReLU(+inf) = +inf, which the forward's finiteness guard rejects.
+  if (!kNumericChecksEnabled) xs.push_back(inf);
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  Matrix x(1, xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) x(0, i) = xs[i];
+
+  ag::Tape tape;
+  const ag::Var out = ag::Relu(tape.Leaf(x));
+  for (size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_EQ(bits(out.value()(0, i)), bits(xs[i] > 0.0 ? xs[i] : 0.0))
+        << "x = " << xs[i];
+  }
+
+  // The backward rule alone, on hand-made nodes: a gradient reaching a
+  // parent through the tape starts at +0.0, so −0.0 can only be set here.
+  ag::Tape::Node node, parent;
+  node.op = ag::Op::kRelu;
+  parent.value = x;
+  Matrix scratch;
+  for (const double prior : {-0.0, 0.0, 0.5, -sub}) {
+    for (const double g : {-0.0, 0.0, 1.0, -1.0, sub, nan, inf}) {
+      node.grad = Matrix(1, xs.size(), g);
+      parent.grad = Matrix(1, xs.size(), prior);
+      ag::internal::Backprop(node, &parent, nullptr, &scratch);
+      for (size_t i = 0; i < xs.size(); ++i) {
+        double want = prior;
+        if (xs[i] > 0.0) want += g;
+        EXPECT_EQ(bits(parent.grad(0, i)), bits(want))
+            << "x = " << xs[i] << " g = " << g << " prior = " << prior;
+      }
+    }
+  }
 }
 
 TEST(GradCheckTest, PairFeatures) {

@@ -202,6 +202,87 @@ TEST(FullMatrixBatchSamplerTest, LookupMatchesLastRatingPerCell) {
   EXPECT_FALSE(sampler.Lookup(30, 0, nullptr));  // user out of range
 }
 
+TEST(FullMatrixBatchSamplerTest, LookupAcrossBitmapWords) {
+  // 200 items per user span four 64-bit words: cells on both sides of each
+  // word boundary, a duplicate cell whose last rating wins, and neighbours
+  // that must read unobserved.
+  RatingDataset ds(3, 200);
+  const std::map<size_t, double> row1 = {{0, 1.0},   {63, 2.0},  {64, 3.0},
+                                         {127, 4.0}, {128, 5.0}, {199, 6.0}};
+  ds.AddTrain(1, 64, 9.0);  // overwritten below: the last rating wins
+  for (const auto& [item, rating] : row1) ds.AddTrain(1, item, rating);
+  ds.AddTrain(0, 199, 7.0);
+  ds.AddTrain(2, 0, 8.0);
+  const FullMatrixBatchSampler sampler(ds, 3);
+  for (size_t item = 0; item < 200; ++item) {
+    double found = -1.0;
+    const bool observed = sampler.Lookup(1, item, &found);
+    EXPECT_EQ(observed, row1.count(item) > 0) << "item " << item;
+    EXPECT_EQ(found, observed ? row1.at(item) : -1.0) << "item " << item;
+  }
+  double found = -1.0;
+  EXPECT_TRUE(sampler.Lookup(0, 199, &found));
+  EXPECT_EQ(found, 7.0);
+  EXPECT_TRUE(sampler.Lookup(2, 0, &found));
+  EXPECT_EQ(found, 8.0);
+  EXPECT_FALSE(sampler.Lookup(0, 63, nullptr));
+  EXPECT_FALSE(sampler.Lookup(2, 64, nullptr));
+}
+
+TEST(FullMatrixBatchSamplerTest, OutOfRangeItemIsUnobserved) {
+  // 70 items fill two words per user. An item id past the last one must
+  // read unobserved, not the padding bits of its own row or a word of the
+  // next user's row (item 128 of user 0 would land on user 1's item 0).
+  RatingDataset ds(2, 70);
+  ds.AddTrain(0, 69, 1.0);
+  ds.AddTrain(1, 0, 2.0);
+  ds.AddTrain(1, 5, 3.0);
+  const FullMatrixBatchSampler sampler(ds, 5);
+  EXPECT_TRUE(sampler.Lookup(0, 69, nullptr));
+  for (const size_t item : {size_t{70}, size_t{127}, size_t{128},
+                            size_t{133}, size_t{1} << 40}) {
+    double untouched = -1.0;
+    EXPECT_FALSE(sampler.Lookup(0, item, &untouched)) << "item " << item;
+    EXPECT_EQ(untouched, -1.0);
+  }
+  EXPECT_FALSE(sampler.Lookup(2, 0, nullptr));  // user out of range
+}
+
+TEST(FullMatrixBatchSamplerTest, BatchesMatchBruteForceLabels) {
+  // Ten batches against a cell → rating map built by repeated assignment,
+  // with the cells drawn as one generator of the same seed draws them:
+  // a user index, then an item index, per row.
+  RatingDataset ds(23, 150);
+  Rng rng(29);
+  std::map<std::pair<size_t, size_t>, double> expected;
+  for (int n = 0; n < 900; ++n) {
+    const auto u = static_cast<uint32_t>(rng.UniformIndex(23));
+    const auto i = static_cast<uint32_t>(rng.UniformIndex(150));
+    const double rating = static_cast<double>(rng.UniformIndex(5));
+    ds.AddTrain(u, i, rating);
+    expected[{u, i}] = rating;
+  }
+  FullMatrixBatchSampler sampler(ds, 31);
+  Rng draws(31);
+  size_t observed = 0;
+  for (int b = 0; b < 10; ++b) {
+    const Batch batch = sampler.Sample(256);
+    ASSERT_EQ(batch.size(), 256u);
+    for (size_t r = 0; r < batch.size(); ++r) {
+      const size_t u = draws.UniformIndex(23);
+      const size_t i = draws.UniformIndex(150);
+      ASSERT_EQ(batch.users[r], u);
+      ASSERT_EQ(batch.items[r], i);
+      const auto it = expected.find({u, i});
+      const bool hit = it != expected.end();
+      observed += hit ? 1 : 0;
+      EXPECT_EQ(batch.observed(r, 0), hit ? 1.0 : 0.0);
+      EXPECT_EQ(batch.ratings(r, 0), hit ? it->second : 0.0);
+    }
+  }
+  EXPECT_GT(observed, 100u);
+}
+
 TEST(FullMatrixBatchSamplerTest, ObservedRateMatchesDensity) {
   RatingDataset ds(20, 20);
   Rng rng(13);

@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -15,25 +17,12 @@
 namespace dtrec {
 namespace {
 
-// Equivalence suite: the blocked, packed-panel kernels must match the
-// naive triple-loop references bit-for-bit modulo summation order, over
-// shapes chosen to hit every packing edge case — single rows/columns,
-// sizes that are not multiples of the micro/cache tiles, exact tile
-// boundaries and boundaries ± 1, and empty operands.
-
-Matrix BlockedMatMul(const Matrix& a, const Matrix& b) {
-  Matrix c(a.rows(), b.cols());
-  kernels::Gemm(a.rows(), b.cols(), a.cols(), a.data(), a.cols(), b.data(),
-                b.cols(), c.data(), c.cols());
-  return c;
-}
-
-Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
-  Matrix c(a.rows(), b.cols());
-  kernels::naive::Gemm(a.rows(), b.cols(), a.cols(), a.data(), a.cols(),
-                       b.data(), b.cols(), c.data(), c.cols());
-  return c;
-}
+// Equivalence suite: the blocked kernels must match the exact naive
+// references byte for byte (so −0.0 ≠ +0.0), over shapes chosen to hit
+// every packing edge case — single rows/columns, sizes that are not
+// multiples of the micro/cache tiles, exact tile boundaries and
+// boundaries ± 1, either side of the A-packing rule (n = 64 | 65), the
+// training step's products, and empty operands.
 
 struct Shape {
   size_t m, k, n;
@@ -65,63 +54,159 @@ std::vector<Shape> EdgeShapes() {
   };
 }
 
-TEST(KernelsTest, GemmMatchesNaiveOnEdgeShapes) {
-  Rng rng(11);
-  for (const Shape& s : EdgeShapes()) {
-    const Matrix a = Matrix::RandomNormal(s.m, s.k, 1.0, &rng);
-    const Matrix b = Matrix::RandomNormal(s.k, s.n, 1.0, &rng);
-    EXPECT_TRUE(BlockedMatMul(a, b).AllClose(NaiveMatMul(a, b), 1e-12, 1e-12))
-        << "shape " << s.m << "x" << s.k << " * " << s.k << "x" << s.n;
+/// The DT training step's products (the propensity head's two layers and
+/// their backward products), Coat- and Yahoo-shaped, and both sides of the
+/// A-packing rule (A in place for n ≤ 64, packed above) with k over two
+/// kKc blocks and a ragged last strip.
+std::vector<Shape> StepAndPackingShapes() {
+  return {
+      {1024, 48, 16}, {1024, 16, 1}, {48, 1024, 16}, {1024, 16, 48},
+      {16, 1024, 1},  {2048, 24, 16}, {2048, 16, 1}, {24, 2048, 16},
+      {2048, 16, 24}, {67, 300, 64},  {67, 300, 65},  {130, 20, 64},
+      {130, 20, 65},
+  };
+}
+
+/// Normal entries with about a tenth each +0, −0 and subnormal, and one
+/// NaN when `nan` is set. Every NaN the kernels produce then carries this
+/// one payload (there are no infinities to make a fresh one), so a byte
+/// comparison stays exact.
+Matrix SpecialOperand(size_t rows, size_t cols, bool nan, Rng* rng) {
+  Matrix m = Matrix::RandomNormal(rows, cols, 1.0, rng);
+  for (size_t i = 0; i < m.size(); ++i) {
+    switch (rng->UniformIndex(10)) {
+      case 0:
+        m.at_flat(i) = 0.0;
+        break;
+      case 1:
+        m.at_flat(i) = -0.0;
+        break;
+      case 2:
+        m.at_flat(i) *= std::numeric_limits<double>::denorm_min() * 1e6;
+        break;
+      default:
+        break;
+    }
   }
+  if (nan && m.size() > 0) {
+    m.at_flat(rng->UniformIndex(m.size())) =
+        std::numeric_limits<double>::quiet_NaN();
+  }
+  return m;
+}
+
+/// Raw-byte equality of two same-shaped results.
+void ExpectSameBytes(const Matrix& got, const Matrix& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  size_t differing = 0, first = 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(got.data() + i, want.data() + i, sizeof(double)) != 0) {
+      if (differing++ == 0) first = i;
+    }
+  }
+  EXPECT_EQ(differing, 0u) << what << ": first at flat index " << first
+                           << " (" << got.at_flat(first) << " vs "
+                           << want.at_flat(first) << ")";
+}
+
+enum class GemmOp { kPlain, kTransA, kTransB };
+
+/// Runs one op blocked and naive on a shape's operands, each into an
+/// output prefilled with different garbage, and compares the bytes.
+void CheckAgainstNaive(GemmOp op, const Shape& s, bool special, Rng* rng) {
+  const size_t a_rows = op == GemmOp::kTransA ? s.k : s.m;
+  const size_t a_cols = op == GemmOp::kTransA ? s.m : s.k;
+  const size_t b_rows = op == GemmOp::kTransB ? s.n : s.k;
+  const size_t b_cols = op == GemmOp::kTransB ? s.k : s.n;
+  const Matrix a = special ? SpecialOperand(a_rows, a_cols, true, rng)
+                           : Matrix::RandomNormal(a_rows, a_cols, 1.0, rng);
+  const Matrix b = special ? SpecialOperand(b_rows, b_cols, true, rng)
+                           : Matrix::RandomNormal(b_rows, b_cols, 1.0, rng);
+  Matrix blocked(s.m, s.n, 7.0);
+  Matrix naive(s.m, s.n, std::numeric_limits<double>::quiet_NaN());
+  const auto run = [&](auto gemm, Matrix* c) {
+    gemm(s.m, s.n, s.k, a.data(), a_cols, b.data(), b_cols, c->data(), s.n);
+  };
+  switch (op) {
+    case GemmOp::kPlain:
+      run(kernels::Gemm, &blocked);
+      run(kernels::naive::Gemm, &naive);
+      break;
+    case GemmOp::kTransA:
+      run(kernels::GemmTransA, &blocked);
+      run(kernels::naive::GemmTransA, &naive);
+      break;
+    case GemmOp::kTransB:
+      run(kernels::GemmTransB, &blocked);
+      run(kernels::naive::GemmTransB, &naive);
+      break;
+  }
+  ExpectSameBytes(blocked, naive,
+                  "m=" + std::to_string(s.m) + " k=" + std::to_string(s.k) +
+                      " n=" + std::to_string(s.n) +
+                      (special ? " special operands" : ""));
+}
+
+void CheckAllShapesAgainstNaive(GemmOp op, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Shape> shapes = EdgeShapes();
+  for (const Shape& s : StepAndPackingShapes()) shapes.push_back(s);
+  for (const Shape& s : shapes) {
+    for (bool special : {false, true}) CheckAgainstNaive(op, s, special, &rng);
+  }
+}
+
+TEST(KernelsTest, GemmMatchesNaiveOnEdgeShapes) {
+  CheckAllShapesAgainstNaive(GemmOp::kPlain, 11);
 }
 
 TEST(KernelsTest, GemmTransAMatchesNaive) {
-  Rng rng(12);
-  for (const Shape& s : EdgeShapes()) {
-    // A stored k×m, logical op Aᵀ·B.
-    const Matrix a = Matrix::RandomNormal(s.k, s.m, 1.0, &rng);
-    const Matrix b = Matrix::RandomNormal(s.k, s.n, 1.0, &rng);
-    Matrix blocked(s.m, s.n), naive(s.m, s.n);
-    kernels::GemmTransA(s.m, s.n, s.k, a.data(), a.cols(), b.data(), b.cols(),
-                        blocked.data(), blocked.cols());
-    kernels::naive::GemmTransA(s.m, s.n, s.k, a.data(), a.cols(), b.data(),
-                               b.cols(), naive.data(), naive.cols());
-    EXPECT_TRUE(blocked.AllClose(naive, 1e-12, 1e-12))
-        << "shape m=" << s.m << " k=" << s.k << " n=" << s.n;
-  }
+  CheckAllShapesAgainstNaive(GemmOp::kTransA, 12);
 }
 
 TEST(KernelsTest, GemmTransBMatchesNaive) {
-  Rng rng(13);
-  for (const Shape& s : EdgeShapes()) {
-    const Matrix a = Matrix::RandomNormal(s.m, s.k, 1.0, &rng);
-    const Matrix b = Matrix::RandomNormal(s.n, s.k, 1.0, &rng);  // n×k
-    Matrix blocked(s.m, s.n), naive(s.m, s.n);
-    kernels::GemmTransB(s.m, s.n, s.k, a.data(), a.cols(), b.data(), b.cols(),
-                        blocked.data(), blocked.cols());
-    kernels::naive::GemmTransB(s.m, s.n, s.k, a.data(), a.cols(), b.data(),
-                               b.cols(), naive.data(), naive.cols());
-    EXPECT_TRUE(blocked.AllClose(naive, 1e-12, 1e-12))
-        << "shape m=" << s.m << " k=" << s.k << " n=" << s.n;
-  }
+  CheckAllShapesAgainstNaive(GemmOp::kTransB, 13);
 }
 
-TEST(KernelsTest, EmptyOperandsAreNoOps) {
-  // Any zero dimension must leave C untouched and not read the operands.
-  Matrix c(3, 3, 7.0);
+TEST(KernelsTest, EmptySumWritesZerosAndEmptyOutputIsUntouched) {
+  // k = 0: C is the empty sum, +0, whatever it held. m = 0 or n = 0: no
+  // output, so C stays as it was and the operands are not read.
+  Matrix c(3, 3, std::numeric_limits<double>::quiet_NaN());
   kernels::Gemm(3, 3, 0, nullptr, 0, nullptr, 0, c.data(), 3);
-  kernels::Gemm(0, 3, 3, nullptr, 3, nullptr, 3, c.data(), 3);
-  kernels::Gemm(3, 0, 3, nullptr, 3, nullptr, 0, c.data(), 0);
-  EXPECT_TRUE(c == Matrix(3, 3, 7.0));
+  ExpectSameBytes(c, Matrix(3, 3), "k=0");
+  Matrix untouched(3, 3, 7.0);
+  kernels::Gemm(0, 3, 3, nullptr, 3, nullptr, 3, untouched.data(), 3);
+  kernels::GemmTransA(3, 0, 3, nullptr, 3, nullptr, 0, untouched.data(), 0);
+  kernels::GemmTransB(0, 0, 3, nullptr, 3, nullptr, 3, untouched.data(), 3);
+  EXPECT_TRUE(untouched == Matrix(3, 3, 7.0));
   kernels::BatchedRowDot(0, 5, nullptr, 5, nullptr, 5, nullptr);
 }
 
-TEST(KernelsTest, GemmAccumulatesIntoC) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  Matrix b{{5.0, 6.0}, {7.0, 8.0}};
-  Matrix c(2, 2, 100.0);
-  kernels::Gemm(2, 2, 2, a.data(), 2, b.data(), 2, c.data(), 2);
-  EXPECT_TRUE((c == Matrix{{119, 122}, {143, 150}}));
+TEST(KernelsTest, GemmOverwritesC) {
+  // C's prior contents, finite or NaN, never enter the product: on one
+  // k block and across three (the first block stores 0.0 + chain).
+  for (const double prior : {100.0, std::numeric_limits<double>::quiet_NaN()}) {
+    Matrix a{{1.0, 2.0}, {3.0, 4.0}};
+    Matrix b{{5.0, 6.0}, {7.0, 8.0}};
+    Matrix c(2, 2, prior);
+    kernels::Gemm(2, 2, 2, a.data(), 2, b.data(), 2, c.data(), 2);
+    EXPECT_TRUE((c == Matrix{{19, 22}, {43, 50}})) << prior;
+    c.Fill(prior);
+    kernels::GemmTransA(2, 2, 2, a.data(), 2, b.data(), 2, c.data(), 2);
+    EXPECT_TRUE((c == Matrix{{26, 30}, {38, 44}})) << prior;
+    c.Fill(prior);
+    kernels::GemmTransB(2, 2, 2, a.data(), 2, b.data(), 2, c.data(), 2);
+    EXPECT_TRUE((c == Matrix{{17, 23}, {39, 53}})) << prior;
+
+    const size_t k = 2 * kernels::kKc + 5;
+    const Matrix ones(5, k, 1.0);
+    const Matrix twos(k, 9, 2.0);
+    Matrix wide(5, 9, prior);
+    kernels::Gemm(5, 9, k, ones.data(), k, twos.data(), 9, wide.data(), 9);
+    EXPECT_TRUE(wide == Matrix(5, 9, 2.0 * static_cast<double>(k))) << prior;
+  }
 }
 
 TEST(KernelsTest, BatchedRowDotMatchesNaive) {

@@ -404,6 +404,24 @@ TEST(ObsTraceTest, RecordedSpansFlushAsValidChromeTrace) {
   obs::ClearTrace();
 }
 
+TEST(ObsTraceTest, SpanNamesAreEscaped) {
+  // A quote or a newline in a span name must neither break the document
+  // nor change the name read back.
+  obs::ClearTrace();
+  obs::EnableTracing();
+  obs::TraceNote("say \"hi\"");
+  { obs::TraceSpan span("two\nlines"); }
+  obs::DisableTracing();
+  const std::string json = obs::FlushTraceJson();
+  size_t events = 0;
+  std::set<std::string> names;
+  const Status st = obs::ValidateTraceJson(json, &events, &names);
+  ASSERT_TRUE(st.ok()) << st.ToString() << "\n" << json;
+  EXPECT_EQ(events, 2u);
+  EXPECT_EQ(names, (std::set<std::string>{"say \"hi\"", "two\nlines"}));
+  obs::ClearTrace();
+}
+
 TEST(ObsTraceTest, SpanConstructedWhileDisabledStaysInert) {
   obs::ClearTrace();
   {
