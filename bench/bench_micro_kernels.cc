@@ -91,8 +91,8 @@ std::vector<bench::KernelBenchResult> RunKernelSweep(bool smoke) {
     shapes.push_back({"gemm", 2048, 24, 16});
     shapes.push_back({"gemm_trans_a", 48, 1024, 16});
     shapes.push_back({"gemm_trans_b", 1024, 16, 48});
-    // Either side of the A-packing rule: A read in place up to n = 64,
-    // packed above it.
+    // Either side of the wide-C rule: up to n = 64 C stays cached from
+    // tile to tile, above it each tile's rows of C are prefetched.
     shapes.push_back({"gemm", 1024, 48, 64});
     shapes.push_back({"gemm", 1024, 48, 128});
     shapes.push_back({"gemm_trans_a", 48, 1024, 64});

@@ -51,9 +51,16 @@ FullMatrixBatchSampler::FullMatrixBatchSampler(const RatingDataset& dataset,
     : num_users_(dataset.num_users()),
       num_items_(dataset.num_items()),
       rng_(seed),
-      words_per_user_((num_items_ + 63) / 64) {
+      words_per_user_(num_items_ / 64 + (num_items_ % 64 != 0 ? 1 : 0)) {
   DTREC_CHECK_GT(num_users_, 0u);
   DTREC_CHECK_GT(num_items_, 0u);
+  // The index spans every cell of the |U|×|I| matrix, 12 bytes (a word and
+  // its rank) per 64 cells; a size whose byte count overflows is refused
+  // here rather than wrapping into a short index.
+  constexpr size_t kIndexBytesPerWord = sizeof(uint64_t) + sizeof(uint32_t);
+  DTREC_CHECK_LE(words_per_user_, SIZE_MAX / kIndexBytesPerWord / num_users_)
+      << "a " << num_users_ << " x " << num_items_
+      << " observed-cell bitmap does not fit in memory";
   const std::vector<RatingTriple>& train = dataset.train();
   DTREC_CHECK_LE(train.size(), size_t{UINT32_MAX});  // ranks are 32-bit
   observed_.assign(num_users_ * words_per_user_, 0);

@@ -94,12 +94,14 @@ inline constexpr const char* kServingBenchSchema = "dtrec-bench-serving-v2";
 Status ValidateServingBenchJson(const std::string& content,
                                 ServingBenchGateInputs* gate = nullptr);
 
-/// Schema tag of the kernel micro-bench JSON (BENCH_kernels.json). v3:
-/// the serving top-K rows are the one exact sweep ("pruned") against the
-/// BruteForceTopK oracle ("naive") on a skewed- and a flat-norm
-/// catalogue; v2's int8 rows and recall@K column are gone. Any other tag
-/// is rejected.
-inline constexpr const char* kKernelBenchSchema = "dtrec-bench-kernels-v3";
+/// Schema tag of the kernel micro-bench JSON (BENCH_kernels.json). v4:
+/// the GEMM "naive" rows time the exact blocked-order reference (one
+/// chain from +0 per kKc block, then the blocks in order), about half as
+/// fast as v3's triple loops, so v3's naive GFLOP/s and speedups do not
+/// compare with v4's. The serving top-K rows are still the one exact
+/// sweep ("pruned") against the BruteForceTopK oracle ("naive") on a
+/// skewed- and a flat-norm catalogue, as in v3. Any other tag is rejected.
+inline constexpr const char* kKernelBenchSchema = "dtrec-bench-kernels-v4";
 
 /// Kernel micro-bench JSON: kKernelBenchSchema, a build stamp with the
 /// four flavor fields, and a non-empty results array whose entries carry

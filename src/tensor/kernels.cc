@@ -26,21 +26,17 @@ namespace {
 
 inline size_t RoundUp(size_t x, size_t to) { return (x + to - 1) / to * to; }
 
-/// Packs an mc×kc block of A into kMr-row micro-panels, zero-padding the
-/// ragged last strip. Element (i, p) of the logical block is read at
-/// a[i*rs + p*cs], so the same routine packs A (rs=lda, cs=1) and Aᵀ
-/// (rs=1, cs=lda). Panel layout: strip ir holds kc columns of kMr
-/// contiguous row entries each, which the micro-kernel reads through
-/// strides (1, kMr) — one sequential read per iteration.
-void PackA(size_t mc, size_t kc, const double* a, size_t rs, size_t cs,
-           double* pack) {
-  for (size_t ir = 0; ir < mc; ir += kMr) {
-    const size_t mr = std::min(kMr, mc - ir);
-    double* dst = pack + ir * kc;
-    for (size_t p = 0; p < kc; ++p) {
-      for (size_t r = 0; r < mr; ++r) dst[p * kMr + r] = a[(ir + r) * rs + p * cs];
-      for (size_t r = mr; r < kMr; ++r) dst[p * kMr + r] = 0.0;
-    }
+/// Packs the ragged last strip of an A block (mr < kMr rows, kc columns)
+/// into one zero-padded kMr-row micro-panel: kc columns of kMr contiguous
+/// row entries, which the micro-kernel reads through strides (1, kMr).
+/// Element (r, p) of the strip is read at a[r*rs + p*cs], so the same
+/// routine packs A (rs=lda, cs=1) and Aᵀ (rs=1, cs=lda). Full strips are
+/// read in place; only this one would run past row m.
+void PackARaggedStrip(size_t mr, size_t kc, const double* a, size_t rs,
+                      size_t cs, double* pack) {
+  for (size_t p = 0; p < kc; ++p) {
+    for (size_t r = 0; r < mr; ++r) pack[p * kMr + r] = a[r * rs + p * cs];
+    for (size_t r = mr; r < kMr; ++r) pack[p * kMr + r] = 0.0;
   }
 }
 
@@ -350,17 +346,18 @@ inline void QuantizedDot4(size_t k, const int8_t* DTREC_RESTRICT a,
 
 #endif
 
-/// Above this many kNr-column strips in op(B), each A strip is reused by
-/// enough B strips that packing it pays, and C is too wide to stay cached
-/// from one tile to the next; at or below it (n ≤ 64, the training step's
-/// skinny products) the micro-kernel reads A in place and C stays cached.
+/// Above this many kNr-column strips in op(B) (n > 64), C is too wide to
+/// stay cached from one tile to the next, so each tile's rows are
+/// prefetched for writing before the micro-kernel stores them.
 constexpr size_t kWideStrips = 8;
 
 /// Shared blocked core: C = op(A)·op(B) with the operand transposes
 /// expressed as (row, col) strides. Per output, each kKc block is one
 /// chain from +0, and the blocks land in C in order: 0.0 + chain for the
 /// first, C + chain after it. So C's prior contents are never read as a
-/// start value, and k = 0 writes the empty sum, +0.
+/// start value, and k = 0 writes the empty sum, +0. B is packed per
+/// kKc×kNc panel; A is read in place, except for a ragged last strip of
+/// each block, which is packed.
 void GemmStrided(size_t m, size_t n, size_t k, const double* a, size_t ars,
                  size_t acs, const double* b, size_t brs, size_t bcs,
                  double* c, size_t ldc) {
@@ -369,19 +366,15 @@ void GemmStrided(size_t m, size_t n, size_t k, const double* a, size_t ars,
     for (size_t i = 0; i < m; ++i) std::fill_n(c + i * ldc, n, 0.0);
     return;
   }
-  // When op(B) is wide, A is packed whole and C's tiles are prefetched;
-  // otherwise only a ragged last strip of A is packed, because reading it
-  // in place would run past row m.
   const bool wide = n > kWideStrips * kNr;
   // Pack buffers are kept per thread and grow to the largest problem the
-  // thread has seen (at most one full kMc×kKc + kKc×kNc panel pair, 1.2 MB),
-  // so the many small matmuls of a training step allocate nothing. Packing
-  // writes every entry it later reads, padding included, so stale contents
-  // never leak into a product.
+  // thread has seen (at most one kMr×kKc strip and one kKc×kNc panel,
+  // just over 1 MB), so the many small matmuls of a training step
+  // allocate nothing. Packing writes every entry it later reads, padding
+  // included, so stale contents never leak into a product.
   thread_local std::vector<double> packa;
   thread_local std::vector<double> packb;
-  const size_t packa_rows = wide ? RoundUp(std::min(m, kMc), kMr) : kMr;
-  const size_t packa_size = packa_rows * std::min(k, kKc);
+  const size_t packa_size = kMr * std::min(k, kKc);
   const size_t packb_size = RoundUp(std::min(n, kNc), kNr) * std::min(k, kKc);
   if (packa.size() < packa_size) packa.resize(packa_size);
   if (packb.size() < packb_size) packb.resize(packb_size);
@@ -395,20 +388,18 @@ void GemmStrided(size_t m, size_t n, size_t k, const double* a, size_t ars,
         const size_t mc = std::min(kMc, m - ic);
         const double* ablock = a + ic * ars + pc * acs;
         // Rows [0, in_place) of the block are read where they lie, the
-        // rest from the packed panel.
-        const size_t in_place = wide ? 0 : mc - mc % kMr;
+        // ragged rest from the packed strip.
+        const size_t in_place = mc - mc % kMr;
         if (in_place < mc) {
-          PackA(mc - in_place, kc, ablock + in_place * ars, ars, acs,
-                packa.data());
+          PackARaggedStrip(mc - in_place, kc, ablock + in_place * ars, ars,
+                           acs, packa.data());
         }
         for (size_t jr = 0; jr < nc; jr += kNr) {
           const size_t nr = std::min(kNr, nc - jr);
           for (size_t ir = 0; ir < mc; ir += kMr) {
             const size_t mr = std::min(kMr, mc - ir);
             const bool packed = ir >= in_place;
-            const double* astrip = packed
-                                       ? packa.data() + (ir - in_place) * kc
-                                       : ablock + ir * ars;
+            const double* astrip = packed ? packa.data() : ablock + ir * ars;
             double* ctile = c + (ic + ir) * ldc + jc + jr;
             // A wide C does not stay cached from tile to tile, and stores
             // that miss stall the kernel: ask for the tile's rows first.

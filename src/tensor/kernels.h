@@ -19,12 +19,12 @@ namespace dtrec::kernels {
 // against one packed B strip per (ir, jr) tile. The micro-kernel reads A
 // through (row, col) strides, so it runs on A in place — (lda, 1), or
 // (1, lda) for Aᵀ — and the transposed variants share one core without
-// materializing Aᵀ/Bᵀ. A is packed into kMr-row strips (strides (1, kMr))
-// only where that pays or is needed: all of it when op(B) spans more than
-// 8 column strips (n > 64), where each strip is reused across many B
-// strips, and otherwise just a ragged last strip (m % kMr rows), which
-// read in place would run past row m. A full tile goes from the registers
-// straight into C; on the wide path its rows of C are prefetched first.
+// materializing Aᵀ/Bᵀ. Of A only the ragged last strip of each kMc block
+// (mc % kMr rows) is packed, into one zero-padded kMr-row strip read
+// through strides (1, kMr), because reading it in place would run past
+// row m. A full tile goes from the registers straight into C; when op(B)
+// spans more than 8 column strips (n > 64), C is too wide to stay cached,
+// so each tile's rows of C are prefetched for writing first.
 //
 // The GEMM entry points *overwrite* C: per output, each kKc block of the
 // inner dimension is one multiply-add chain from +0 (fused under

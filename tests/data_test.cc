@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <utility>
@@ -281,6 +282,18 @@ TEST(FullMatrixBatchSamplerTest, BatchesMatchBruteForceLabels) {
     }
   }
   EXPECT_GT(observed, 100u);
+}
+
+TEST(FullMatrixBatchSamplerDeathTest, OverflowingIndexSizeIsRefused) {
+  // A meta file may name any size. One whose index byte count wraps
+  // size_t must fail the size check, not build a short index that the
+  // train cells then write past. (Both splits are empty: the check comes
+  // before anything is read or allocated.)
+  const size_t huge = SIZE_MAX / 2;
+  EXPECT_DEATH(FullMatrixBatchSampler(RatingDataset(huge, 1 << 20), 1),
+               "bitmap does not fit in memory");
+  EXPECT_DEATH(FullMatrixBatchSampler(RatingDataset(8, SIZE_MAX), 1),
+               "bitmap does not fit in memory");
 }
 
 TEST(FullMatrixBatchSamplerTest, ObservedRateMatchesDensity) {

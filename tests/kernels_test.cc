@@ -21,7 +21,7 @@ namespace {
 // references byte for byte (so −0.0 ≠ +0.0), over shapes chosen to hit
 // every packing edge case — single rows/columns, sizes that are not
 // multiples of the micro/cache tiles, exact tile boundaries and
-// boundaries ± 1, either side of the A-packing rule (n = 64 | 65), the
+// boundaries ± 1, either side of the wide-C prefetch (n = 64 | 65), the
 // training step's products, and empty operands.
 
 struct Shape {
@@ -56,9 +56,9 @@ std::vector<Shape> EdgeShapes() {
 
 /// The DT training step's products (the propensity head's two layers and
 /// their backward products), Coat- and Yahoo-shaped, and both sides of the
-/// A-packing rule (A in place for n ≤ 64, packed above) with k over two
-/// kKc blocks and a ragged last strip.
-std::vector<Shape> StepAndPackingShapes() {
+/// wide-C prefetch (n = 64 | 65) with k over two kKc blocks and a ragged
+/// last strip of A.
+std::vector<Shape> StepAndWideShapes() {
   return {
       {1024, 48, 16}, {1024, 16, 1}, {48, 1024, 16}, {1024, 16, 48},
       {16, 1024, 1},  {2048, 24, 16}, {2048, 16, 1}, {24, 2048, 16},
@@ -152,7 +152,7 @@ void CheckAgainstNaive(GemmOp op, const Shape& s, bool special, Rng* rng) {
 void CheckAllShapesAgainstNaive(GemmOp op, uint64_t seed) {
   Rng rng(seed);
   std::vector<Shape> shapes = EdgeShapes();
-  for (const Shape& s : StepAndPackingShapes()) shapes.push_back(s);
+  for (const Shape& s : StepAndWideShapes()) shapes.push_back(s);
   for (const Shape& s : shapes) {
     for (bool special : {false, true}) CheckAgainstNaive(op, s, special, &rng);
   }
