@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 
 #include "tensor/ops.h"
 #include "util/logging.h"
@@ -51,12 +52,15 @@ inline uint64_t KeepMask(double x) {
 }  // namespace
 
 // Every forward rule below writes its value into the node's retained
-// buffer, and every backward rule adds into retained parent gradients.
-// Shapes are checked once per call; loops then run over raw pointers.
-// Each element's arithmetic — including the `0.0 + x` a zero-initialized
-// intermediate gradient contributes in the fused ops — is the same as the
-// unfused chain it replaces, and every reduction keeps its sequential
-// order, so results are bit-identical to evaluating op by op.
+// buffer. Every backward rule's first write into a parent gradient stores
+// `0.0 + t` (a matmul product lands there directly), and later writes add
+// into it; nothing zero-fills a gradient a rule then covers whole (see
+// Tape::Node::grad_fresh). Shapes are checked once per call; loops then
+// run over raw pointers. Each element's arithmetic — including the
+// `0.0 + x` a zero-initialized intermediate gradient contributes in the
+// fused ops — is the same as the unfused chain it replaces, and every
+// reduction keeps its sequential order, so results are bit-identical to
+// evaluating op by op into zero-filled gradients.
 
 Var Add(Var a, Var b) {
   Tape* tape = CheckSameTape(a, b);
@@ -346,13 +350,94 @@ Var SigmoidSquaredErrorSum(Var logits, const Matrix& labels,
 namespace internal {
 namespace {
 
-/// a's grad[i] += f(i) over every element: most unary backward rules.
+/// Tags of a parent gradient's state: its first write (contents
+/// unspecified, see Tape::Node::grad_fresh) or a later one.
+using Fresh = std::true_type;
+using Written = std::false_type;
+
+/// The value a rule adds its term to at entry i of a parent gradient: the
+/// entry itself, or on a first write the +0.0 a zero fill held. So a fresh
+/// gradient stores `0.0 + t` (`0.0 - t` where the rule subtracts), which
+/// are the bits accumulating into the zero fill gave: −0.0 becomes +0.0,
+/// and a NaN keeps its sign.
+template <typename State>
+inline double Prior(State, const double* grad, size_t i) {
+  if constexpr (State::value) {
+    return 0.0;
+  } else {
+    return grad[i];
+  }
+}
+
+/// Runs `pass(Fresh{})` on the first write into `parent`'s gradient, else
+/// `pass(Written{})`, and marks it written: one loop body, two forms. A
+/// rule with two parents runs the a-pass, then the b-pass, so when a and b
+/// are one node the b-pass adds onto what the a-pass stored, in the
+/// per-element order the one interleaved loop had.
+template <typename Pass>
+void WriteGrad(Tape::Node* parent, Pass pass) {
+  if (parent->grad_fresh) {
+    parent->grad_fresh = false;
+    pass(Fresh{});
+  } else {
+    pass(Written{});
+  }
+}
+
+/// For rules that reach only part of a parent (GatherRows' scatter, the
+/// bias sum): zero-fills a fresh gradient, after which they accumulate.
+void ZeroIfFresh(Tape::Node* parent) {
+  if (parent->grad_fresh) {
+    parent->grad.SetZero();
+    parent->grad_fresh = false;
+  }
+}
+
+/// parent's grad[i] (+)= f(i), or (−)= f(i), over every entry.
+template <bool kSubtract = false, typename F>
+void WriteElems(Tape::Node* parent, F f) {
+  double* gp = parent->grad.data();
+  const size_t n = parent->grad.size();
+  WriteGrad(parent, [&](auto state) {
+    for (size_t i = 0; i < n; ++i) {
+      if constexpr (kSubtract) {
+        gp[i] = Prior(state, gp, i) - f(i);
+      } else {
+        gp[i] = Prior(state, gp, i) + f(i);
+      }
+    }
+  });
+}
+
+/// WriteElems for a parent shaped like `node`: most unary rules.
 template <typename F>
-void AccumulateElems(const Tape::Node& node, Tape::Node* a, F f) {
+void WriteLike(const Tape::Node& node, Tape::Node* a, F f) {
   CheckSameShape(a->grad, node.grad);
-  double* ga = a->grad.data();
-  const size_t n = node.grad.size();
-  for (size_t i = 0; i < n; ++i) ga[i] += f(i);
+  WriteElems(a, f);
+}
+
+/// parent's grad (+)= alpha·x.
+void AddScaled(Tape::Node* parent, const Matrix& x, double alpha) {
+  CheckSameShape(parent->grad, x);
+  const double* xs = x.data();
+  WriteElems(parent, [&](size_t i) { return alpha * xs[i]; });
+}
+
+/// parent's grad (+)= the matrix product `product` writes into its
+/// argument. A fresh gradient takes it directly: the kernels write
+/// 0.0 + block₁ + …, never −0.0, so it equals the 0.0 + 1.0·C that adding
+/// into a zero fill gave. A written one takes it through `scratch`, since
+/// the kernel's sum started from a non-zero gradient would round
+/// differently.
+template <typename Product>
+void AddProduct(Tape::Node* parent, Matrix* scratch, Product product) {
+  if (parent->grad_fresh) {
+    parent->grad_fresh = false;
+    product(&parent->grad);
+  } else {
+    product(scratch);
+    AddScaled(parent, *scratch, 1.0);
+  }
 }
 
 }  // namespace
@@ -367,123 +452,110 @@ void Backprop(const Tape::Node& node, Tape::Node* a, Tape::Node* b,
     case Op::kConstant:
       return;
     case Op::kAdd:
-      AddScaledInPlace(&a->grad, grad, 1.0);
-      AddScaledInPlace(&b->grad, grad, 1.0);
+      AddScaled(a, grad, 1.0);
+      AddScaled(b, grad, 1.0);
       return;
     case Op::kSub:
-      AddScaledInPlace(&a->grad, grad, 1.0);
-      AddScaledInPlace(&b->grad, grad, -1.0);
+      // b takes −g as a subtraction: x − g has the bits x + (−1.0·g) had
+      // when −1.0 was a run-time factor, NaN signs included, where a
+      // folded −1.0·g would flip a NaN's sign.
+      AddScaled(a, grad, 1.0);
+      CheckSameShape(b->grad, grad);
+      WriteElems<true>(b, [&](size_t i) { return g[i]; });
       return;
     case Op::kMul: {
-      CheckSameShape(a->grad, grad);
-      CheckSameShape(b->grad, grad);
-      // a and b may be one node: no restrict, and per element the a-term
-      // is added before the b-term, as the unfused loop did.
-      double* ga = a->grad.data();
-      double* gb = b->grad.data();
       const double* va = a->value.data();
       const double* vb = b->value.data();
-      for (size_t i = 0; i < n; ++i) {
-        ga[i] += g[i] * vb[i];
-        gb[i] += g[i] * va[i];
-      }
+      WriteLike(node, a, [&](size_t i) { return g[i] * vb[i]; });
+      WriteLike(node, b, [&](size_t i) { return g[i] * va[i]; });
       return;
     }
     case Op::kDiv: {
       CheckSameShape(a->grad, grad);
       CheckSameShape(b->grad, grad);
       const double* out = node.value.data();  // a/b
-      double* ga = a->grad.data();
-      double* gb = b->grad.data();
       const double* vb = b->value.data();
-      for (size_t i = 0; i < n; ++i) {
-        const double inv_b = 1.0 / vb[i];
-        ga[i] += g[i] * inv_b;
-        gb[i] -= g[i] * out[i] * inv_b;
-      }
+      WriteElems(a, [&](size_t i) { return g[i] * (1.0 / vb[i]); });
+      WriteElems<true>(b, [&](size_t i) {
+        return g[i] * out[i] * (1.0 / vb[i]);
+      });
       return;
     }
     case Op::kDivScalar: {
       const double* out = node.value.data();  // a/s
       const double sv = b->value(0, 0);
+      WriteLike(node, a, [&](size_t i) { return g[i] / sv; });
       double gs_accum = 0.0;
-      CheckSameShape(a->grad, grad);
-      double* ga = a->grad.data();
-      for (size_t i = 0; i < n; ++i) {
-        ga[i] += g[i] / sv;
-        gs_accum -= g[i] * out[i] / sv;
-      }
-      b->grad(0, 0) += gs_accum;
+      for (size_t i = 0; i < n; ++i) gs_accum -= g[i] * out[i] / sv;
+      WriteElems(b, [&](size_t) { return gs_accum; });
       return;
     }
     case Op::kMatMul:
       // dA = g·Bᵀ ; dB = Aᵀ·g
-      MatMulTransB(grad, b->value, scratch);
-      AddScaledInPlace(&a->grad, *scratch, 1.0);
-      MatMulTransA(a->value, grad, scratch);
-      AddScaledInPlace(&b->grad, *scratch, 1.0);
+      AddProduct(a, scratch,
+                 [&](Matrix* out) { MatMulTransB(grad, b->value, out); });
+      AddProduct(b, scratch,
+                 [&](Matrix* out) { MatMulTransA(a->value, grad, out); });
       return;
     case Op::kTranspose:
       grad.TransposeInto(scratch);
-      AddScaledInPlace(&a->grad, *scratch, 1.0);
+      AddScaled(a, *scratch, 1.0);
       return;
     case Op::kScale:
-      AddScaledInPlace(&a->grad, grad, node.scalar);
+      AddScaled(a, grad, node.scalar);
       return;
     case Op::kAddScalar:
-      AddScaledInPlace(&a->grad, grad, 1.0);
+      AddScaled(a, grad, 1.0);
       return;
     case Op::kSigmoid: {
       const double* s = node.value.data();
-      AccumulateElems(node, a, [&](size_t i) {
-        return g[i] * s[i] * (1.0 - s[i]);
-      });
+      WriteLike(node, a,
+                [&](size_t i) { return g[i] * s[i] * (1.0 - s[i]); });
       return;
     }
     case Op::kExp: {
       const double* out = node.value.data();
-      AccumulateElems(node, a, [&](size_t i) { return g[i] * out[i]; });
+      WriteLike(node, a, [&](size_t i) { return g[i] * out[i]; });
       return;
     }
     case Op::kLog: {
       const double* in = a->value.data();
-      AccumulateElems(node, a, [&](size_t i) { return g[i] / in[i]; });
+      WriteLike(node, a, [&](size_t i) { return g[i] / in[i]; });
       return;
     }
     case Op::kSquare: {
       const double* in = a->value.data();
-      AccumulateElems(node, a,
-                      [&](size_t i) { return 2.0 * g[i] * in[i]; });
+      WriteLike(node, a, [&](size_t i) { return 2.0 * g[i] * in[i]; });
       return;
     }
     case Op::kRelu: {
       const double* in = a->value.data();
       CheckSameShape(a->grad, grad);
       double* ga = a->grad.data();
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t keep = KeepMask(in[i]);
-        const uint64_t sum = std::bit_cast<uint64_t>(ga[i] + g[i]);
-        const uint64_t old = std::bit_cast<uint64_t>(ga[i]);
-        ga[i] = std::bit_cast<double>((sum & keep) | (old & ~keep));
-      }
+      WriteGrad(a, [&](auto state) {
+        for (size_t i = 0; i < n; ++i) {
+          const uint64_t keep = KeepMask(in[i]);
+          const double prior = Prior(state, ga, i);
+          const uint64_t sum = std::bit_cast<uint64_t>(prior + g[i]);
+          const uint64_t old = std::bit_cast<uint64_t>(prior);
+          ga[i] = std::bit_cast<double>((sum & keep) | (old & ~keep));
+        }
+      });
       return;
     }
     case Op::kSum: {
       const double g0 = g[0];
-      double* ga = a->grad.data();
-      const size_t m = a->grad.size();
-      for (size_t i = 0; i < m; ++i) ga[i] += g0;
+      WriteElems(a, [&](size_t) { return g0; });
       return;
     }
     case Op::kFrobeniusSq: {
       const double g0 = g[0];
       const double* in = a->value.data();
-      double* ga = a->grad.data();
-      const size_t m = a->grad.size();
-      for (size_t i = 0; i < m; ++i) ga[i] += 2.0 * g0 * in[i];
+      WriteElems(a, [&](size_t i) { return 2.0 * g0 * in[i]; });
       return;
     }
     case Op::kGatherRows:
+      ZeroIfFresh(a);
       ScatterAddRows(&a->grad, node.indices, grad);
       return;
     case Op::kHConcat: {
@@ -492,41 +564,70 @@ void Backprop(const Tape::Node& node, Tape::Node* a, Tape::Node* b,
       DTREC_CHECK_EQ(a_cols + b_cols, cols);
       DTREC_CHECK_EQ(a->grad.rows(), rows);
       DTREC_CHECK_EQ(b->grad.rows(), rows);
-      double* ga = a->grad.data();
-      double* gb = b->grad.data();
-      for (size_t r = 0; r < rows; ++r) {
-        const double* grow = g + r * cols;
-        double* garow = ga + r * a_cols;
-        double* gbrow = gb + r * b_cols;
-        for (size_t c = 0; c < a_cols; ++c) garow[c] += grow[c];
-        for (size_t c = 0; c < b_cols; ++c) gbrow[c] += grow[a_cols + c];
-      }
+      // Parent p takes columns [offset, offset + p_cols) of each row.
+      const auto split = [&](Tape::Node* p, size_t p_cols, size_t offset) {
+        double* gp = p->grad.data();
+        WriteGrad(p, [&](auto state) {
+          for (size_t r = 0; r < rows; ++r) {
+            const double* grow = g + r * cols + offset;
+            double* prow = gp + r * p_cols;
+            for (size_t c = 0; c < p_cols; ++c) {
+              prow[c] = Prior(state, prow, c) + grow[c];
+            }
+          }
+        });
+      };
+      split(a, a_cols, 0);
+      split(b, b_cols, a_cols);
       return;
     }
     case Op::kPairFeatures: {
       // Replaces HConcat(HConcat(a, b), Mul(a, b)). Unfused, the reverse
       // sweep ran the Mul rule on its zero-initialized gradient 0.0 + g_m,
-      // then the inner HConcat rule added 0.0 + g_a and 0.0 + g_b; per
-      // element that order is kept here, so a == b accumulates alike.
+      // then the inner HConcat rule added 0.0 + g_a and 0.0 + g_b.
       const size_t rows = a->grad.rows(), k = a->grad.cols();
       CheckSameShape(a->grad, b->grad);
       DTREC_CHECK_EQ(grad.rows(), rows);
       DTREC_CHECK_EQ(grad.cols(), 3 * k);
-      double* ga = a->grad.data();
-      double* gb = b->grad.data();
       const double* va = a->value.data();
       const double* vb = b->value.data();
-      for (size_t r = 0; r < rows; ++r) {
-        const double* grow = g + r * 3 * k;
-        const size_t base = r * k;
-        for (size_t c = 0; c < k; ++c) {
-          const double gm = 0.0 + grow[2 * k + c];
-          ga[base + c] += gm * vb[base + c];
-          gb[base + c] += gm * va[base + c];
-          ga[base + c] += 0.0 + grow[c];
-          gb[base + c] += 0.0 + grow[k + c];
+      if (a == b) {
+        // One node takes all four terms per element, in the unfused
+        // order gm·vb, gm·va, g_a, g_b, so it keeps the interleaved loop.
+        ZeroIfFresh(a);
+        double* ga = a->grad.data();
+        for (size_t r = 0; r < rows; ++r) {
+          const double* grow = g + r * 3 * k;
+          const size_t base = r * k;
+          for (size_t c = 0; c < k; ++c) {
+            const double gm = 0.0 + grow[2 * k + c];
+            ga[base + c] += gm * vb[base + c];
+            ga[base + c] += gm * va[base + c];
+            ga[base + c] += 0.0 + grow[c];
+            ga[base + c] += 0.0 + grow[k + c];
+          }
         }
+        return;
       }
+      // Parent p takes gm·(the other's value), then its own block.
+      const auto part = [&](Tape::Node* p, const double* other,
+                            size_t offset) {
+        double* gp = p->grad.data();
+        WriteGrad(p, [&](auto state) {
+          for (size_t r = 0; r < rows; ++r) {
+            const double* grow = g + r * 3 * k;
+            const size_t base = r * k;
+            for (size_t c = 0; c < k; ++c) {
+              const double gm = 0.0 + grow[2 * k + c];
+              gp[base + c] = (Prior(state, gp, base + c) +
+                              gm * other[base + c]) +
+                             (0.0 + grow[offset + c]);
+            }
+          }
+        });
+      };
+      part(a, vb, 0);
+      part(b, va, k);
       return;
     }
     case Op::kRowwiseDot: {
@@ -536,38 +637,40 @@ void Backprop(const Tape::Node& node, Tape::Node* a, Tape::Node* b,
       CheckSameShape(a->grad, va);
       CheckSameShape(b->grad, vb);
       DTREC_CHECK_EQ(n, rows);
-      double* ga = a->grad.data();
-      double* gb = b->grad.data();
-      for (size_t r = 0; r < rows; ++r) {
-        const double gr = g[r];
-        const double* arow = va.data() + r * k;
-        const double* brow = vb.data() + r * k;
-        double* garow = ga + r * k;
-        double* gbrow = gb + r * k;
-        for (size_t c = 0; c < k; ++c) {
-          garow[c] += gr * brow[c];
-          gbrow[c] += gr * arow[c];
-        }
-      }
+      // Parent p takes g_r·(the other's row).
+      const auto part = [&](Tape::Node* p, const double* other) {
+        double* gp = p->grad.data();
+        WriteGrad(p, [&](auto state) {
+          for (size_t r = 0; r < rows; ++r) {
+            const double gr = g[r];
+            const double* orow = other + r * k;
+            double* prow = gp + r * k;
+            for (size_t c = 0; c < k; ++c) {
+              prow[c] = Prior(state, prow, c) + gr * orow[c];
+            }
+          }
+        });
+      };
+      part(a, vb.data());
+      part(b, va.data());
       return;
     }
     case Op::kMulConst: {
       const double* m = node.operand[0].data();
-      AccumulateElems(node, a, [&](size_t i) { return g[i] * m[i]; });
+      WriteLike(node, a, [&](size_t i) { return g[i] * m[i]; });
       return;
     }
     case Op::kWeightedSumElems: {
       const double g0 = g[0];
       const double* w = node.operand[0].data();
-      double* ga = a->grad.data();
-      const size_t m = a->grad.size();
-      for (size_t i = 0; i < m; ++i) ga[i] += g0 * w[i];
+      WriteElems(a, [&](size_t i) { return g0 * w[i]; });
       return;
     }
     case Op::kAddRowBroadcast: {
-      AddScaledInPlace(&a->grad, grad, 1.0);
+      AddScaled(a, grad, 1.0);
       const size_t rows = grad.rows(), cols = grad.cols();
       DTREC_CHECK_EQ(b->grad.cols(), cols);
+      ZeroIfFresh(b);
       double* brow = b->grad.data();
       for (size_t r = 0; r < rows; ++r) {
         const double* grow = g + r * cols;
@@ -578,9 +681,9 @@ void Backprop(const Tape::Node& node, Tape::Node* a, Tape::Node* b,
     case Op::kGramFrobeniusSq: {
       const double g0 = g[0];
       dtrec::MatMul(a->value, node.operand[1], scratch);  // A·(BᵀB)
-      AddScaledInPlace(&a->grad, *scratch, 2.0 * g0);
+      AddScaled(a, *scratch, 2.0 * g0);
       dtrec::MatMul(b->value, node.operand[0], scratch);  // B·(AᵀA)
-      AddScaledInPlace(&b->grad, *scratch, 2.0 * g0);
+      AddScaled(b, *scratch, 2.0 * g0);
       return;
     }
     case Op::kSigmoidBceSum: {
@@ -588,11 +691,9 @@ void Backprop(const Tape::Node& node, Tape::Node* a, Tape::Node* b,
       const double* l = a->value.data();
       const double* y = node.operand[0].data();
       const double* w = node.operand[1].data();
-      double* gl = a->grad.data();
-      const size_t m = a->grad.size();
-      for (size_t i = 0; i < m; ++i) {
-        gl[i] += g0 * w[i] * (dtrec::Sigmoid(l[i]) - y[i]);
-      }
+      WriteElems(a, [&](size_t i) {
+        return g0 * w[i] * (dtrec::Sigmoid(l[i]) - y[i]);
+      });
       return;
     }
     case Op::kSigmoidSquaredErrorSum: {
@@ -603,16 +704,14 @@ void Backprop(const Tape::Node& node, Tape::Node* a, Tape::Node* b,
       const double* l = a->value.data();
       const double* y = node.operand[0].data();
       const double* w = node.operand[1].data();
-      double* gl = a->grad.data();
-      const size_t m = a->grad.size();
-      for (size_t i = 0; i < m; ++i) {
+      WriteElems(a, [&](size_t i) {
         const double s = dtrec::Sigmoid(l[i]);
         const double r = y[i] - s;
         const double g_e = 0.0 + g0 * w[i];
         const double g_r = 0.0 + 2.0 * g_e * r;
         const double g_s = 0.0 + -1.0 * g_r;
-        gl[i] += g_s * s * (1.0 - s);
-      }
+        return g_s * s * (1.0 - s);
+      });
       return;
     }
   }

@@ -1,5 +1,7 @@
 #include "autograd/tape.h"
 
+#include <limits>
+
 #include "util/logging.h"
 #include "util/numeric_guard.h"
 
@@ -12,7 +14,13 @@ Var Tape::NewNode(Op op, size_t rows, size_t cols) {
   node.num_parents = 0;
   node.value.Resize(rows, cols);
   node.grad.Resize(rows, cols);
-  node.grad.SetZero();
+  node.grad_fresh = true;
+  // A rule that read a fresh gradient, or wrote only part of one, would
+  // see whatever the buffer held, which on a new tape's pages is zero:
+  // poison it so Backward's finiteness check names the node.
+  if constexpr (kNumericChecksEnabled) {
+    node.grad.Fill(std::numeric_limits<double>::quiet_NaN());
+  }
   return Var(this, size_++, generation_);
 }
 
@@ -62,6 +70,7 @@ void Tape::Backward(Var loss) {
   }
 
   nodes_[loss.id()]->grad(0, 0) = 1.0;
+  nodes_[loss.id()]->grad_fresh = false;
   for (size_t i = loss.id() + 1; i-- > 0;) {
     const Node& node = *nodes_[i];
     if (!node.reachable || node.op == Op::kLeaf ||
@@ -87,9 +96,14 @@ const Matrix& Tape::ValueOf(Var v) const {
   return nodes_[v.id()]->value;
 }
 
-const Matrix& Tape::GradOf(Var v) const {
+const Matrix& Tape::GradOf(Var v) {
   CheckLive(v);
-  return nodes_[v.id()]->grad;
+  Node& node = *nodes_[v.id()];
+  if (node.grad_fresh) {
+    node.grad.SetZero();
+    node.grad_fresh = false;
+  }
+  return node.grad;
 }
 
 void Tape::Reset() {

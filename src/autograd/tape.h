@@ -96,10 +96,18 @@ class Tape {
     Op op = Op::kLeaf;
     uint8_t num_parents = 0;
     bool reachable = false;  // Backward's scratch mark
+    /// True while no backward rule has written `grad` since the node was
+    /// made: its contents are unspecified (quiet NaN under numeric
+    /// checks), and the first rule to reach it stores `0.0 + t` — the
+    /// bits adding t into a zero fill gave — instead of adding, then
+    /// clears the flag. A rule that writes only part of a fresh gradient
+    /// zero-fills it first. GradOf zero-fills a gradient still fresh.
+    /// False on a hand-built node, whose grad holds what the builder put.
+    bool grad_fresh = false;
     size_t parents[2] = {0, 0};
     double scalar = 0.0;  // Scale's alpha
     Matrix value;
-    Matrix grad;  // value's shape; zeroed when the node is made
+    Matrix grad;  // value's shape; see grad_fresh
     /// Constant operands copied in at construction (labels, IPS/BCE
     /// weights, Gram matrices), so backward needs nothing from the caller.
     Matrix operand[2];
@@ -114,15 +122,16 @@ class Tape {
   /// like any other node; the caller reads them back after Backward().
   Var Leaf(const Matrix& value);
 
-  /// Creates a constant leaf: participates in forward values but receives
-  /// no gradient storage writes (its gradient stays zero and is never
-  /// propagated past).
+  /// Creates a constant leaf: it takes part in forward values, and its
+  /// children's backward rules write its gradient like any other (Sub's
+  /// −g, for one), but Backward never propagates past it.
   Var Constant(const Matrix& value);
 
   /// Op implementations only: makes a node of kind `op` with a rows×cols
   /// value (contents unspecified, for the op to fill through MutableNode)
-  /// and a zeroed gradient. `a` and `b` are its parents; pass an invalid
-  /// Var for an absent one. Both must be live Vars of this tape.
+  /// and a fresh gradient (see Node::grad_fresh). `a` and `b` are its
+  /// parents; pass an invalid Var for an absent one. Both must be live
+  /// Vars of this tape.
   Var AddNode(Op op, size_t rows, size_t cols, Var a, Var b = Var());
 
   /// Op implementations only: the node behind a live Var.
@@ -134,7 +143,9 @@ class Tape {
   void Backward(Var loss);
 
   const Matrix& ValueOf(Var v) const;
-  const Matrix& GradOf(Var v) const;
+  /// The node's gradient; one no backward rule reached reads zero (a
+  /// still-fresh gradient is zero-filled here).
+  const Matrix& GradOf(Var v);
 
   /// Number of nodes in the current graph.
   size_t num_nodes() const { return size_; }
@@ -161,7 +172,8 @@ namespace internal {
 
 /// Backward rule of `node` (defined in autograd/ops.cc beside the forward
 /// rules): adds its contribution into the gradients of parents `a` and
-/// `b` (null when absent). `scratch` holds intermediate products.
+/// `b` (null when absent), storing it into a fresh one (see
+/// Node::grad_fresh). `scratch` holds intermediate products.
 void Backprop(const Tape::Node& node, Tape::Node* a, Tape::Node* b,
               Matrix* scratch);
 

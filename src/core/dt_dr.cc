@@ -11,6 +11,7 @@ Status DtDrTrainer::Setup(const RatingDataset& dataset) {
   imp_ = MfModel(PredModelConfig(dataset, rng_.NextUint64()));
   imp_opt_ = MakeOptimizer(config_.optimizer, config_.learning_rate,
                            config_.weight_decay);
+  imp_params_ = imp_.Params();
   return Status::OK();
 }
 
@@ -68,32 +69,40 @@ ag::Var DtDrTrainer::EstimatorLoss(ag::Tape* tape, const Batch& batch,
 void DtDrTrainer::ImputationStep(const Batch& batch) {
   const size_t b = batch.size();
   const double inv_b = 1.0 / static_cast<double>(b);
-  Matrix pred_probs(b, 1), target_e(b, 1), w(b, 1);
+  imp_pred_probs_.Resize(b, 1);
+  imp_target_e_.Resize(b, 1);
+  imp_weights_.Resize(b, 1);
   double total = 0.0;
   for (size_t i = 0; i < b; ++i) {
     const double prob = Predict(batch.users[i], batch.items[i]);
-    pred_probs(i, 0) = prob;
+    imp_pred_probs_(i, 0) = prob;
     const double diff = batch.ratings(i, 0) - prob;
-    target_e(i, 0) = diff * diff;
-    w(i, 0) = ImputationWeight(batch.observed(i, 0), clipped_p_(i, 0)) *
-              inv_b;
-    total += w(i, 0);
+    imp_target_e_(i, 0) = diff * diff;
+    imp_weights_(i, 0) =
+        ImputationWeight(batch.observed(i, 0), clipped_p_(i, 0)) * inv_b;
+    total += imp_weights_(i, 0);
   }
   if (total == 0.0) return;
 
   DTREC_TRACE_SPAN("imputation");
   ag::Tape& tape = *FreshTape();
-  std::vector<ag::Var> leaves = imp_.MakeLeaves(&tape);
-  ag::Var logits = imp_.BatchLogits(&tape, leaves, batch.users, batch.items);
+  // The leaves MfModel::MakeLeaves would return, in Params() order.
+  imp_leaves_.clear();
+  for (const Matrix* param : imp_params_) {
+    imp_leaves_.push_back(tape.Leaf(*param));
+  }
+  ag::Var logits =
+      imp_.BatchLogits(&tape, imp_leaves_, batch.users, batch.items);
   ag::Var pseudo = ag::Sigmoid(logits);
-  ag::Var e_hat = ag::Square(ag::Sub(pseudo, tape.Constant(pred_probs)));
+  ag::Var e_hat =
+      ag::Square(ag::Sub(pseudo, tape.Constant(imp_pred_probs_)));
   ag::Var loss = ag::WeightedSumElems(
-      ag::Square(ag::Sub(tape.Constant(target_e), e_hat)), w);
+      ag::Square(ag::Sub(tape.Constant(imp_target_e_), e_hat)),
+      imp_weights_);
   if (collect_epoch_stats_) RecordEpochLoss("imputation", loss.value()(0, 0));
   tape.Backward(loss);
-  const std::vector<Matrix*> params = imp_.Params();
-  for (size_t i = 0; i < leaves.size(); ++i) {
-    imp_opt_->Step(params[i], tape.GradOf(leaves[i]));
+  for (size_t i = 0; i < imp_leaves_.size(); ++i) {
+    imp_opt_->Step(imp_params_[i], tape.GradOf(imp_leaves_[i]));
   }
 }
 

@@ -2,6 +2,7 @@
 #define DTREC_CORE_DT_DR_H_
 
 #include <string>
+#include <vector>
 
 #include "core/dt_ips.h"
 #include "models/mf_model.h"
@@ -57,6 +58,16 @@ class DtDrTrainer : public DtIpsTrainer {
   Matrix pseudo_;
   Matrix w_imputed_;
   Matrix w_observed_;
+
+  // The imputation step's buffers, kept across steps so it allocates
+  // nothing: the imputation model's parameters (fixed by Setup) and their
+  // leaves, the prediction model's probabilities, the squared errors and
+  // the cell weights.
+  std::vector<Matrix*> imp_params_;
+  std::vector<ag::Var> imp_leaves_;
+  Matrix imp_pred_probs_;
+  Matrix imp_target_e_;
+  Matrix imp_weights_;
 };
 
 /// Extension (DESIGN.md §5): DT with MRDR's variance-targeting imputation

@@ -1,9 +1,12 @@
 #include "data/io.h"
 
+#include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/atomic_file.h"
@@ -11,6 +14,25 @@
 
 namespace dtrec {
 namespace {
+
+/// Parses all of `field` as a decimal count or id that fits the 32-bit
+/// ids a RatingTriple stores: digits only (no sign, no blanks) and no
+/// overflow. strtoull alone would take "-1" as 2^64 − 1 and "12x" as 12.
+bool ParseUint32(const std::string& field, uint32_t* out) {
+  if (field.empty() ||
+      std::isdigit(static_cast<unsigned char>(field[0])) == 0) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(field.c_str(), &end, 10);
+  if (*end != '\0' || errno != 0 ||
+      value > std::numeric_limits<uint32_t>::max()) {
+    return false;
+  }
+  *out = static_cast<uint32_t>(value);
+  return true;
+}
 
 Status ParseRow(const std::string& line, size_t line_number,
                 RatingTriple* out) {
@@ -20,29 +42,23 @@ Status ParseRow(const std::string& line, size_t line_number,
         StrFormat("line %zu: expected 3 fields, got %zu", line_number,
                   fields.size()));
   }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long user = std::strtoul(fields[0].c_str(), &end, 10);
-  if (end == fields[0].c_str() || *end != '\0' || errno != 0) {
+  if (!ParseUint32(fields[0], &out->user)) {
     return Status::InvalidArgument(
         StrFormat("line %zu: bad user id '%s'", line_number,
                   fields[0].c_str()));
   }
-  errno = 0;
-  const unsigned long item = std::strtoul(fields[1].c_str(), &end, 10);
-  if (end == fields[1].c_str() || *end != '\0' || errno != 0) {
+  if (!ParseUint32(fields[1], &out->item)) {
     return Status::InvalidArgument(
         StrFormat("line %zu: bad item id '%s'", line_number,
                   fields[1].c_str()));
   }
+  char* end = nullptr;
   const double rating = std::strtod(fields[2].c_str(), &end);
   if (end == fields[2].c_str() || *end != '\0') {
     return Status::InvalidArgument(
         StrFormat("line %zu: bad rating '%s'", line_number,
                   fields[2].c_str()));
   }
-  out->user = static_cast<uint32_t>(user);
-  out->item = static_cast<uint32_t>(item);
   out->rating = rating;
   return Status::OK();
 }
@@ -110,15 +126,22 @@ Result<RatingDataset> LoadDataset(const std::string& prefix) {
   if (dims.size() != 2) {
     return Status::InvalidArgument("meta must be 'num_users,num_items'");
   }
-  const size_t num_users = std::strtoul(dims[0].c_str(), nullptr, 10);
-  const size_t num_items = std::strtoul(dims[1].c_str(), nullptr, 10);
+  uint32_t counts[2];
+  const char* const names[2] = {"num_users", "num_items"};
+  for (size_t f = 0; f < 2; ++f) {
+    if (!ParseUint32(dims[f], &counts[f])) {
+      return Status::InvalidArgument(StrFormat(
+          "meta %s '%s' is not a decimal count below 2^32", names[f],
+          dims[f].c_str()));
+    }
+  }
 
   auto train = ReadRatingsCsv(prefix + ".train.csv");
   if (!train.ok()) return train.status();
   auto test = ReadRatingsCsv(prefix + ".test.csv");
   if (!test.ok()) return test.status();
 
-  RatingDataset dataset(num_users, num_items);
+  RatingDataset dataset(counts[0], counts[1]);
   *dataset.mutable_train() = std::move(train).value();
   *dataset.mutable_test() = std::move(test).value();
   DTREC_RETURN_IF_ERROR(dataset.Validate());

@@ -2,6 +2,10 @@
 
 #include <cmath>
 
+#if defined(__SSE2__) && !defined(__FMA__)
+#include <emmintrin.h>
+#endif
+
 #include "tensor/serialization.h"
 #include "util/logging.h"
 
@@ -43,13 +47,45 @@ void Adam::Step(Matrix* param, const Matrix& grad) {
   double* m = slot.m.data();
   double* v = slot.v.data();
   const size_t n = param->size();
-  for (size_t i = 0; i < n; ++i) {
-    const double g = gr[i] + weight_decay_ * p[i];
-    m[i] = beta1_ * m[i] + (1.0 - beta1_) * g;
-    v[i] = beta2_ * v[i] + (1.0 - beta2_) * g * g;
+  // Locals, so stores through p, m and v do not force the members to be
+  // reloaded per element.
+  const double b1 = beta1_, b2 = beta2_, c1 = 1.0 - beta1_,
+               c2 = 1.0 - beta2_, eps = epsilon_, wd = weight_decay_,
+               lr = lr_;
+  size_t i = 0;
+#if defined(__SSE2__) && !defined(__FMA__)
+  // Two lanes per step, each op in the scalar loop's order. The lane ops
+  // round exactly as their scalar forms, and without FMA in the target
+  // (this file is built for the baseline ISA) no multiply-add is fused, so
+  // the update is bit-identical to the tail loop's.
+  const __m128d vb1 = _mm_set1_pd(b1), vb2 = _mm_set1_pd(b2);
+  const __m128d vc1 = _mm_set1_pd(c1), vc2 = _mm_set1_pd(c2);
+  const __m128d vbc1 = _mm_set1_pd(bc1), vbc2 = _mm_set1_pd(bc2);
+  const __m128d veps = _mm_set1_pd(eps), vwd = _mm_set1_pd(wd);
+  const __m128d vlr = _mm_set1_pd(lr);
+  for (; i + 2 <= n; i += 2) {
+    const __m128d pv = _mm_loadu_pd(p + i);
+    const __m128d g = _mm_add_pd(_mm_loadu_pd(gr + i), _mm_mul_pd(vwd, pv));
+    const __m128d mv = _mm_add_pd(_mm_mul_pd(vb1, _mm_loadu_pd(m + i)),
+                                  _mm_mul_pd(vc1, g));
+    const __m128d vv = _mm_add_pd(_mm_mul_pd(vb2, _mm_loadu_pd(v + i)),
+                                  _mm_mul_pd(_mm_mul_pd(vc2, g), g));
+    _mm_storeu_pd(m + i, mv);
+    _mm_storeu_pd(v + i, vv);
+    const __m128d m_hat = _mm_div_pd(mv, vbc1);
+    const __m128d v_hat = _mm_div_pd(vv, vbc2);
+    const __m128d step = _mm_div_pd(_mm_mul_pd(vlr, m_hat),
+                                    _mm_add_pd(_mm_sqrt_pd(v_hat), veps));
+    _mm_storeu_pd(p + i, _mm_sub_pd(pv, step));
+  }
+#endif
+  for (; i < n; ++i) {
+    const double g = gr[i] + wd * p[i];
+    m[i] = b1 * m[i] + c1 * g;
+    v[i] = b2 * v[i] + c2 * g * g;
     const double m_hat = m[i] / bc1;
     const double v_hat = v[i] / bc2;
-    p[i] -= lr_ * m_hat / (std::sqrt(v_hat) + epsilon_);
+    p[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
   }
 }
 

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "autograd/ops.h"
 #include "autograd/tape.h"
 #include "tensor/ops.h"
+#include "util/math_util.h"
 #include "util/numeric_guard.h"
 #include "util/random.h"
 
@@ -654,6 +657,372 @@ TEST(FusedOpTest, ReluMaskFormsMatchBranchyRule) {
       }
     }
   }
+}
+
+// ----------------------------------------------- first-write gradients
+
+/// One term a backward rule puts into a parent entry: added, or for the
+/// rules that subtract (Div's divisor), subtracted.
+struct Term {
+  double value;
+  bool subtract = false;
+};
+
+/// One backward rule on hand-built nodes: the node, its parents' values
+/// and, as the oracle, the terms the rule must put into each parent entry
+/// in order — the arithmetic of accumulating into a zero-filled gradient.
+struct RuleCase {
+  std::string name;
+  ag::Tape::Node node;
+  Matrix a;
+  Matrix b;              // empty for a unary rule
+  bool aliased = false;  // both parents are the node holding `a`
+  /// terms(p, i): parent p (0 = a, 1 = b), entry i. An aliased case asks
+  /// only p = 0, for both parents' terms in the rule's order.
+  std::function<std::vector<Term>(int p, size_t i)> terms;
+};
+
+/// rows×cols over {−0, +0, 1, −1, subnormal, NaN} (NaN left out when
+/// `finite`): entry i takes value (i / n^digit + shift) mod n, so two
+/// patterns with digits 0 and 1 meet in every pair of values.
+Matrix Pattern(size_t rows, size_t cols, size_t digit, size_t shift,
+               bool finite) {
+  std::vector<double> vals = {-0.0, 0.0, 1.0, -1.0,
+                              std::numeric_limits<double>::denorm_min()};
+  if (!finite) vals.push_back(std::numeric_limits<double>::quiet_NaN());
+  const size_t n = vals.size();
+  const size_t step = digit == 0 ? 1 : n;
+  Matrix m(rows, cols);
+  for (size_t i = 0; i < m.size(); ++i) {
+    m.at_flat(i) = vals[(i / step + shift) % n];
+  }
+  return m;
+}
+
+ag::Tape::Node MakeNode(ag::Op op, Matrix grad, Matrix value = Matrix()) {
+  ag::Tape::Node node;
+  node.op = op;
+  node.grad = std::move(grad);
+  node.value = std::move(value);
+  return node;
+}
+
+/// Every op that has a backward rule, with parents that are distinct
+/// nodes and, for the binary rules where shapes allow, one node.
+std::vector<RuleCase> RuleCases() {
+  using ag::Op;
+  // Under numeric checks the kernel products assert finite outputs.
+  const bool finite_products = kNumericChecksEnabled;
+  const Matrix g = Pattern(6, 6, 0, 0, false);
+  const Matrix va = Pattern(6, 6, 1, 2, false);
+  const Matrix vb = Pattern(6, 6, 1, 4, false);
+  const Matrix z = Pattern(6, 6, 1, 1, false);  // a node value
+  // The 1×1 gradients. Rules read g0 at run time, so the oracle does too:
+  // a literal −1.0·x may fold to −x, which flips a NaN's sign.
+  const Matrix one{{-1.0}}, zero{{-0.0}};
+  std::vector<RuleCase> cases;
+  const auto unary = [&](const char* name, Op op, Matrix grad, Matrix a,
+                         auto terms) {
+    cases.push_back({name, MakeNode(op, grad, z), a, Matrix(), false,
+                     [terms](int, size_t i) { return terms(i); }});
+  };
+  const auto binary = [&](const char* name, Op op, Matrix grad, Matrix a,
+                          Matrix b, Matrix value, auto terms_a,
+                          auto terms_b) {
+    cases.push_back({name, MakeNode(op, grad, value), a, b, false,
+                     [terms_a, terms_b](int p, size_t i) {
+                       return p == 0 ? terms_a(i) : terms_b(i);
+                     }});
+  };
+  // An aliased copy of a two-parent rule whose a- and b-terms are
+  // independent of which parent is asked: both land on one entry, a's
+  // first.
+  const auto aliased = [&](const char* name, Op op, Matrix grad, Matrix a,
+                           Matrix value, auto terms_a, auto terms_b) {
+    cases.push_back({name, MakeNode(op, grad, value), a, a, true,
+                     [terms_a, terms_b](int, size_t i) {
+                       std::vector<Term> t = terms_a(i);
+                       for (const Term& x : terms_b(i)) t.push_back(x);
+                       return t;
+                     }});
+  };
+  using Terms = std::vector<Term>;
+
+  // Element-wise rules: one term per entry.
+  const auto add_a = [g](size_t i) { return Terms{{1.0 * g.at_flat(i)}}; };
+  const auto sub_b = [g](size_t i) { return Terms{{g.at_flat(i), true}}; };
+  binary("Add", Op::kAdd, g, va, vb, z, add_a, add_a);
+  aliased("Add aliased", Op::kAdd, g, va, z, add_a, add_a);
+  binary("Sub", Op::kSub, g, va, vb, z, add_a, sub_b);
+  aliased("Sub aliased", Op::kSub, g, va, z, add_a, sub_b);
+  const auto mul = [g](const Matrix& other) {
+    return [g, other](size_t i) {
+      return Terms{{g.at_flat(i) * other.at_flat(i)}};
+    };
+  };
+  binary("Mul", Op::kMul, g, va, vb, z, mul(vb), mul(va));
+  aliased("Mul aliased", Op::kMul, g, va, z, mul(va), mul(va));
+  const auto div = [g](const Matrix& divisor, const Matrix& out) {
+    return std::make_pair(
+        [g, divisor](size_t i) {
+          return Terms{{g.at_flat(i) * (1.0 / divisor.at_flat(i))}};
+        },
+        [g, divisor, out](size_t i) {
+          return Terms{{g.at_flat(i) * out.at_flat(i) *
+                            (1.0 / divisor.at_flat(i)),
+                        true}};
+        });
+  };
+  binary("Div", Op::kDiv, g, va, vb, z, div(vb, z).first, div(vb, z).second);
+  aliased("Div aliased", Op::kDiv, g, va, z, div(va, z).first,
+          div(va, z).second);
+  {
+    const double sv = one(0, 0);
+    double gs = 0.0;
+    for (size_t i = 0; i < g.size(); ++i) {
+      gs -= g.at_flat(i) * z.at_flat(i) / sv;
+    }
+    binary("DivScalar", Op::kDivScalar, g, va, one, z,
+           [g, sv](size_t i) { return Terms{{g.at_flat(i) / sv}}; },
+           [gs](size_t) { return Terms{{gs}}; });
+  }
+  unary("Scale", Op::kScale, g, va, [g](size_t i) {
+    return Terms{{-0.5 * g.at_flat(i)}};
+  });
+  cases.back().node.scalar = -0.5;
+  unary("AddScalar", Op::kAddScalar, g, va, add_a);
+  unary("Sigmoid", Op::kSigmoid, g, va, [g, z](size_t i) {
+    const double s = z.at_flat(i);
+    return Terms{{g.at_flat(i) * s * (1.0 - s)}};
+  });
+  unary("Exp", Op::kExp, g, va, mul(z));
+  unary("Log", Op::kLog, g, va, [g, va](size_t i) {
+    return Terms{{g.at_flat(i) / va.at_flat(i)}};
+  });
+  unary("Square", Op::kSquare, g, va, [g, va](size_t i) {
+    return Terms{{2.0 * g.at_flat(i) * va.at_flat(i)}};
+  });
+  unary("Relu", Op::kRelu, g, va, [g, va](size_t i) {
+    return va.at_flat(i) > 0.0 ? Terms{{g.at_flat(i)}} : Terms{};
+  });
+  unary("MulConst", Op::kMulConst, g, va, mul(vb));
+  cases.back().node.operand[0] = vb;
+  {
+    // Transpose: a is 6×4, its gradient the transpose of a 4×6 g.
+    const Matrix gt = Pattern(4, 6, 0, 3, false);
+    unary("Transpose", Op::kTranspose, gt, Pattern(6, 4, 1, 2, false),
+          [gt](size_t i) { return Terms{{1.0 * gt(i % 4, i / 4)}}; });
+  }
+
+  // Rules over a 1×1 gradient.
+  unary("Sum", Op::kSum, zero, va,
+        [](size_t) { return Terms{{-0.0}}; });
+  unary("FrobeniusSq", Op::kFrobeniusSq, one, va, [one, va](size_t i) {
+    return Terms{{2.0 * one(0, 0) * va.at_flat(i)}};
+  });
+  unary("WeightedSumElems", Op::kWeightedSumElems, one, va,
+        [one, vb](size_t i) { return Terms{{one(0, 0) * vb.at_flat(i)}}; });
+  cases.back().node.operand[0] = vb;
+  unary("SigmoidBceSum", Op::kSigmoidBceSum, one, va,
+        [one, va, vb, z](size_t i) {
+          return Terms{{one(0, 0) * z.at_flat(i) *
+                        (dtrec::Sigmoid(va.at_flat(i)) - vb.at_flat(i))}};
+        });
+  cases.back().node.operand[0] = vb;
+  cases.back().node.operand[1] = z;
+  unary("SigmoidSquaredErrorSum", Op::kSigmoidSquaredErrorSum, one, va,
+        [one, va, vb, z](size_t i) {
+          const double s = dtrec::Sigmoid(va.at_flat(i));
+          const double r = vb.at_flat(i) - s;
+          const double g_e = 0.0 + one(0, 0) * z.at_flat(i);
+          const double g_r = 0.0 + 2.0 * g_e * r;
+          const double g_s = 0.0 + -1.0 * g_r;
+          return Terms{{g_s * s * (1.0 - s)}};
+        });
+  cases.back().node.operand[0] = vb;
+  cases.back().node.operand[1] = z;
+
+  // Rules that reach part of a parent, or one entry several times.
+  {
+    const std::vector<size_t> rows = {2, 0, 2, 5};  // rows 1, 3, 4 unseen
+    const Matrix gg = Pattern(4, 6, 0, 1, false);
+    unary("GatherRows", Op::kGatherRows, gg, Pattern(6, 6, 1, 2, false),
+          [gg, rows](size_t i) {
+            Terms t;
+            for (size_t k = 0; k < rows.size(); ++k) {
+              if (rows[k] == i / 6) t.push_back({gg(k, i % 6)});
+            }
+            return t;
+          });
+    cases.back().node.indices = rows;
+  }
+  {
+    const Matrix bias = Pattern(1, 6, 1, 3, false);
+    binary("AddRowBroadcast", Op::kAddRowBroadcast, g, va, bias, z, add_a,
+           [g](size_t i) {
+             Terms t;
+             for (size_t r = 0; r < 6; ++r) t.push_back({g(r, i)});
+             return t;
+           });
+  }
+  {
+    const Matrix gh = Pattern(6, 12, 0, 2, false);
+    const auto part = [gh](size_t offset) {
+      return [gh, offset](size_t i) {
+        return Terms{{gh(i / 6, offset + i % 6)}};
+      };
+    };
+    binary("HConcat", Op::kHConcat, gh, va, vb, z, part(0), part(6));
+    aliased("HConcat aliased", Op::kHConcat, gh, va, z, part(0), part(6));
+  }
+  {
+    const Matrix gr = Pattern(6, 1, 0, 3, false);
+    const auto part = [gr](const Matrix& other) {
+      return [gr, other](size_t i) {
+        return Terms{{gr(i / 6, 0) * other.at_flat(i)}};
+      };
+    };
+    binary("RowwiseDot", Op::kRowwiseDot, gr, va, vb, z, part(vb), part(va));
+    aliased("RowwiseDot aliased", Op::kRowwiseDot, gr, va, z, part(va),
+            part(va));
+  }
+  {
+    // PairFeatures: each parent takes gm·(the other's value), then its
+    // own block; one node takes gm·vb, gm·va, g_a, g_b.
+    const Matrix gp = Pattern(6, 18, 0, 4, false);
+    const auto gm = [gp](size_t i) { return 0.0 + gp(i / 6, 12 + i % 6); };
+    const auto part = [gp, gm](const Matrix& other, size_t offset) {
+      return [gp, gm, other, offset](size_t i) {
+        return Terms{{gm(i) * other.at_flat(i)},
+                     {0.0 + gp(i / 6, offset + i % 6)}};
+      };
+    };
+    binary("PairFeatures", Op::kPairFeatures, gp, va, vb, z, part(vb, 0),
+           part(va, 6));
+    cases.push_back({"PairFeatures aliased", MakeNode(Op::kPairFeatures, gp),
+                     va, va, true, [gp, gm, va](int, size_t i) {
+                       return Terms{{gm(i) * va.at_flat(i)},
+                                    {gm(i) * va.at_flat(i)},
+                                    {0.0 + gp(i / 6, i % 6)},
+                                    {0.0 + gp(i / 6, 6 + i % 6)}};
+                     }});
+  }
+
+  // Products: the oracle's product is the kernel's own.
+  {
+    const Matrix gm = Pattern(6, 6, 0, 0, finite_products);
+    const Matrix ma = Pattern(6, 6, 1, 2, finite_products);
+    const Matrix mb = Pattern(6, 6, 1, 4, finite_products);
+    const auto product = [](Matrix c) {
+      return [c](size_t i) { return Terms{{1.0 * c.at_flat(i)}}; };
+    };
+    binary("MatMul", Op::kMatMul, gm, ma, mb, z,
+           product(MatMulTransB(gm, mb)), product(MatMulTransA(ma, gm)));
+    aliased("MatMul aliased", Op::kMatMul, gm, ma, z,
+            product(MatMulTransB(gm, ma)), product(MatMulTransA(ma, gm)));
+
+    const Matrix gram_a = Pattern(6, 6, 1, 1, finite_products);
+    const Matrix gram_b = Pattern(6, 6, 0, 3, finite_products);
+    const auto scaled = [one](Matrix c) {
+      return [one, c](size_t i) {
+        return Terms{{(2.0 * one(0, 0)) * c.at_flat(i)}};
+      };
+    };
+    binary("GramFrobeniusSq", Op::kGramFrobeniusSq, one, ma, mb, Matrix(),
+           scaled(dtrec::MatMul(ma, gram_b)),
+           scaled(dtrec::MatMul(mb, gram_a)));
+    cases.back().node.operand[0] = gram_a;
+    cases.back().node.operand[1] = gram_b;
+    aliased("GramFrobeniusSq aliased", Op::kGramFrobeniusSq, one, ma,
+            Matrix(), scaled(dtrec::MatMul(ma, gram_b)),
+            scaled(dtrec::MatMul(ma, gram_a)));
+    cases.back().node.operand[0] = gram_a;
+    cases.back().node.operand[1] = gram_b;
+  }
+  return cases;
+}
+
+TEST(FirstWriteTest, EveryRuleStoresWhatAddingIntoZeroGave) {
+  // A fresh parent (NaN in its buffer, as under numeric checks) must come
+  // out byte-equal to a written one that held +0.0, and both must equal
+  // the oracle's 0.0 + t₁ + t₂ …; a written parent holding −0.0 or 0.5
+  // must still accumulate onto it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  struct State {
+    bool fresh;
+    double fill;
+  };
+  const State states[] = {{true, nan}, {false, 0.0}, {false, -0.0},
+                          {false, 0.5}};
+  std::set<ag::Op> covered;
+  for (const RuleCase& c : RuleCases()) {
+    SCOPED_TRACE(c.name);
+    covered.insert(c.node.op);
+    const bool binary = c.b.size() > 0;
+    std::vector<Matrix> from_fresh;
+    for (const State& state : states) {
+      SCOPED_TRACE(testing::Message() << "fresh " << state.fresh << " fill "
+                                      << state.fill);
+      ag::Tape::Node a, b;
+      a.value = c.a;
+      a.grad = Matrix(c.a.rows(), c.a.cols(), state.fill);
+      a.grad_fresh = state.fresh;
+      b.value = c.b;
+      b.grad = Matrix(c.b.rows(), c.b.cols(), state.fill);
+      b.grad_fresh = state.fresh;
+      ag::Tape::Node* pb = c.aliased ? &a : binary ? &b : nullptr;
+      Matrix scratch;
+      ag::internal::Backprop(c.node, &a, pb, &scratch);
+
+      const double prior = state.fresh ? 0.0 : state.fill;
+      const int parents = binary && !c.aliased ? 2 : 1;
+      for (int p = 0; p < parents; ++p) {
+        const ag::Tape::Node& parent = p == 0 ? a : b;
+        EXPECT_FALSE(parent.grad_fresh) << "parent " << p;
+        for (size_t i = 0; i < parent.grad.size(); ++i) {
+          double want = prior;
+          for (const Term& t : c.terms(p, i)) {
+            want = t.subtract ? want - t.value : want + t.value;
+          }
+          EXPECT_EQ(bits(parent.grad.at_flat(i)), bits(want))
+              << "parent " << p << " entry " << i;
+        }
+        if (state.fresh) {
+          from_fresh.push_back(parent.grad);
+        } else if (state.fill == 0.0 && !std::signbit(state.fill)) {
+          const Matrix& stored = from_fresh[static_cast<size_t>(p)];
+          for (size_t i = 0; i < parent.grad.size(); ++i) {
+            EXPECT_EQ(bits(parent.grad.at_flat(i)), bits(stored.at_flat(i)))
+                << "parent " << p << " entry " << i;
+          }
+        }
+      }
+    }
+  }
+  for (auto op = static_cast<uint8_t>(ag::Op::kAdd);
+       op <= static_cast<uint8_t>(ag::Op::kSigmoidSquaredErrorSum); ++op) {
+    EXPECT_TRUE(covered.count(static_cast<ag::Op>(op)))
+        << "no case for op " << int{op};
+  }
+}
+
+TEST(FirstWriteDeathTest, ReadingAFreshGradientDiesUnderNumericChecks) {
+  if (!kNumericChecksEnabled) {
+    GTEST_SKIP() << "fresh gradients are poisoned only under numeric checks";
+  }
+  // Marking a node written without writing it leaves the NaN poison its
+  // gradient was made with; the rule below it then reads the poison, and
+  // Backward names the node it reached.
+  const auto run = [] {
+    ag::Tape tape;
+    ag::Var x = tape.Leaf(Matrix{{1.0, 2.0}});
+    ag::Var squared = ag::Square(x);
+    ag::Var loss = ag::Sum(ag::Scale(squared, 2.0));
+    tape.MutableNode(squared).grad_fresh = false;
+    tape.Backward(loss);
+  };
+  EXPECT_DEATH(run(), "Tape::Backward gradient");
 }
 
 TEST(GradCheckTest, PairFeatures) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "data/io.h"
 #include "synth/coat_like.h"
@@ -92,6 +94,45 @@ TEST(DatasetIoTest, LoadRejectsBadMeta) {
   std::ofstream(prefix + ".meta") << "justonefield\n";
   EXPECT_EQ(LoadDataset(prefix).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(DatasetIoTest, LoadRejectsMetaCountsThatAreNotWhole) {
+  // Each count must parse whole, unsigned, within the 32-bit ids the
+  // triples store; the error names the field. "-1" once loaded as 2^64 − 1
+  // users and "12x" as 12.
+  const std::string prefix = TempPath("bad_counts");
+  std::ofstream(prefix + ".train.csv") << "user,item,rating\n0,0,1\n";
+  std::ofstream(prefix + ".test.csv") << "user,item,rating\n0,1,0\n";
+  const std::pair<const char*, const char*> cases[] = {
+      {"-1,300", "num_users '-1'"},
+      {"12x,300", "num_users '12x'"},
+      {"abc,300", "num_users 'abc'"},
+      {"300,", "num_items ''"},
+      {"18446744073709551616,1", "num_users '18446744073709551616'"},
+      {"4294967296,1", "num_users '4294967296'"},
+      {"+5,5", "num_users '+5'"},
+  };
+  for (const auto& [meta, field] : cases) {
+    SCOPED_TRACE(meta);
+    std::ofstream(prefix + ".meta") << meta << "\n";
+    const Status status = LoadDataset(prefix).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(field), std::string::npos)
+        << status.message();
+  }
+  std::ofstream(prefix + ".meta") << "1,2\n";
+  EXPECT_TRUE(LoadDataset(prefix).ok());
+}
+
+TEST(RatingsCsvTest, RejectsIdsOutsideUint32) {
+  // A 33-bit id once wrapped to user 0 and a negative one to 2^32 − 1.
+  const std::string path = TempPath("wide_ids.csv");
+  for (const char* row : {"4294967296,2,3", "-1,2,3", "1,+2,3"}) {
+    SCOPED_TRACE(row);
+    std::ofstream(path) << "user,item,rating\n" << row << "\n";
+    EXPECT_EQ(ReadRatingsCsv(path).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(DatasetIoTest, LoadValidatesIds) {

@@ -1,6 +1,6 @@
 // Asserts that a DT training step allocates nothing once the trainer's
-// autograd workspace has grown: the graph build, Backward and (for
-// DT-IPS) the optimizer step reuse the buffers of the step before. This
+// autograd workspace has grown: the graph build, Backward, the optimizer
+// step and DT-DR's imputation step reuse the buffers of the step before. This
 // binary replaces the global operator new with a counting one, so it is
 // kept apart from the other suites.
 
@@ -174,13 +174,20 @@ TEST(WorkspaceAllocTest, DtIpsStepAllocatesNothingAfterTheFirst) {
             0u);
 }
 
-TEST(WorkspaceAllocTest, DtDrGraphAllocatesNothingAfterTheFirst) {
+TEST(WorkspaceAllocTest, DtDrStepAllocatesNothingAfterTheFirst) {
+  // The whole step: the prediction graph and its optimizer step, then the
+  // imputation step, which reuses its leaves and constants too.
   const SimulatedData world = World();
   StepProbe<DtDrTrainer> trainer(Config());
   ASSERT_TRUE(trainer.Fit(world.dataset).ok());
   EXPECT_EQ(AllocationsAfterWarmUp(&trainer, world.dataset,
                                    [](auto* t, const Batch& b) {
                                      t->GraphStep(b);
+                                   }),
+            0u);
+  EXPECT_EQ(AllocationsAfterWarmUp(&trainer, world.dataset,
+                                   [](auto* t, const Batch& b) {
+                                     t->FullStep(b);
                                    }),
             0u);
 }
