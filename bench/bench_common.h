@@ -6,7 +6,9 @@
 // Every bench accepts "key=value" overrides on the command line (see
 // dtrec::ApplyOverride for the keys, plus "seeds=N" handled here) so the
 // full-scale paper settings are one flag away from the laptop defaults,
-// and writes its CSV next to the binary under bench_results/.
+// and writes its CSV next to the binary under bench_results/. Every value
+// a bench reads goes through dtrec::CheckArg: one that is not a single
+// finite number, or a negative count, names its key and exits 2.
 
 #include <cstdio>
 #include <cstdlib>
@@ -45,12 +47,31 @@ inline BenchArgs ParseArgs(int argc, char** argv) {
   return args;
 }
 
+/// Reads `value` as `kind` under CheckArg's rule; a value the rule
+/// refuses prints the key and exits 2.
+inline double CheckedArg(const std::string& key, const std::string& value,
+                         ArgKind kind) {
+  if (const Status st = CheckArg(key, value, kind); !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.message().c_str());
+    std::exit(2);
+  }
+  return std::strtod(value.c_str(), nullptr);
+}
+
+inline size_t CountArg(const std::string& key, const std::string& value) {
+  return static_cast<size_t>(CheckedArg(key, value, ArgKind::kCount));
+}
+
+inline double RealArg(const std::string& key, const std::string& value) {
+  return CheckedArg(key, value, ArgKind::kReal);
+}
+
 /// Applies parsed overrides onto `profile`; "seeds" is consumed here.
 inline void ApplyArgs(const BenchArgs& args, DatasetProfile* profile,
                       size_t* seeds) {
   for (const auto& [key, value] : args.raw) {
     if (key == "seeds") {
-      *seeds = static_cast<size_t>(std::strtoul(value.c_str(), nullptr, 10));
+      *seeds = CountArg(key, value);
       continue;
     }
     const Status st = ApplyOverride(key, value, profile);

@@ -20,7 +20,7 @@ int Run(int argc, char** argv) {
   bench::BenchArgs args = bench::ParseArgs(argc, argv);
   size_t n = 40000;
   for (const auto& [key, value] : args.raw) {
-    if (key == "n") n = std::strtoul(value.c_str(), nullptr, 10);
+    if (key == "n") n = bench::CountArg(key, value);
   }
 
   // ---- Example 1 ----------------------------------------------------

@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "util/atomic_file.h"
@@ -75,26 +76,26 @@ Args Parse(int argc, char** argv) {
     if (key == "threads") {
       args.threads.clear();
       for (const std::string& part : Split(value, ',')) {
-        args.threads.push_back(std::strtoul(part.c_str(), nullptr, 10));
+        args.threads.push_back(bench::CountArg(key, part));
       }
     } else if (key == "requests") {
-      args.requests = std::strtoul(value.c_str(), nullptr, 10);
+      args.requests = bench::CountArg(key, value);
     } else if (key == "k") {
-      args.k = std::strtoul(value.c_str(), nullptr, 10);
+      args.k = bench::CountArg(key, value);
     } else if (key == "dim") {
-      args.dim = std::strtoul(value.c_str(), nullptr, 10);
+      args.dim = bench::CountArg(key, value);
     } else if (key == "cache") {
-      args.cache = std::strtoul(value.c_str(), nullptr, 10);
+      args.cache = bench::CountArg(key, value);
     } else if (key == "deadline_ms") {
-      args.deadline_ms = std::strtod(value.c_str(), nullptr);
+      args.deadline_ms = bench::RealArg(key, value);
     } else if (key == "users") {
-      args.users = std::strtoul(value.c_str(), nullptr, 10);
+      args.users = bench::CountArg(key, value);
     } else if (key == "items") {
-      args.items = std::strtoul(value.c_str(), nullptr, 10);
+      args.items = bench::CountArg(key, value);
     } else if (key == "unique_users") {
-      args.unique_users = std::strtoul(value.c_str(), nullptr, 10);
+      args.unique_users = bench::CountArg(key, value);
     } else if (key == "seed") {
-      args.seed = std::strtoul(value.c_str(), nullptr, 10);
+      args.seed = bench::CountArg(key, value);
     } else if (key == "trace-out") {
       args.trace_out = value;
     } else if (key == "profile-out") {

@@ -1,23 +1,22 @@
-// Traffic-replay load harness: drives the serving stack (admission
-// controller → worker pool → TopKScorer::TopK) to saturation
-// with realistic traffic shapes and emits a schema-stamped
-// BENCH_serving.json capacity record.
+// Traffic-replay load harness: drives the serving stack (Submit → worker
+// pool → TopKScorer::TopK) to saturation with realistic traffic shapes
+// and emits a schema-stamped BENCH_serving.json capacity record.
 //
 // Phases (each resets server stats, then reports its own percentiles):
 //
 //   capacity          closed-loop Zipf traffic on the sync path: per-core
 //                     users/sec while the p99 meets the SLO — the number
 //                     the CI gate enforces on Release builds.
-//   diurnal_burst     paced Submit() alternating peak/trough request
-//                     bursts (a compressed diurnal curve) against the
-//                     admission controller's token bucket.
+//   diurnal_burst     Submit() alternating peak/trough request bursts
+//                     (a compressed diurnal curve) against the unbounded
+//                     worker queue, which the peaks leave backed up.
 //   cold_flood        every request a previously-unseen user id: worst
 //                     case for the score cache (hit rate → 0).
 //   deadline_mix      80% generous / 20% already-tight deadlines: the
 //                     tight cohort must degrade, the generous must not.
 //   saturation_flood  unpaced Submit() far beyond capacity with a bounded
-//                     queue + depth cap: measures the shed rate and that
-//                     sheds stay O(1)-cheap under overload.
+//                     queue: measures the shed rate and that sheds stay
+//                     O(1)-cheap under overload.
 //
 //   bench_traffic_replay [--smoke] [--json=PATH] [--trace-out=PATH]
 //                        [--profile-out=PATH] [--alerts-out=PATH]
@@ -197,10 +196,9 @@ PhaseResult RunCapacity(serve::RecommendServer* server,
   return result;
 }
 
-/// Paced diurnal pattern: alternating peak bursts (burst_size submits
-/// back-to-back) and troughs (drain + idle beat). The admission token
-/// bucket sees a spiky arrival process instead of the closed loop's
-/// smooth one.
+/// Diurnal pattern: alternating peak bursts (burst submits back to back)
+/// and troughs (a quarter burst, then a full drain). The worker queue sees
+/// a spiky arrival process instead of the closed loop's smooth one.
 PhaseResult RunDiurnalBurst(serve::RecommendServer* server,
                             const ZipfSampler& zipf, const Args& args,
                             size_t requests) {
@@ -391,29 +389,29 @@ int Main(int argc, char** argv) {
         return 2;
       }
       const std::string key = arg.substr(0, eq);
-      const double value = std::strtod(arg.c_str() + eq + 1, nullptr);
+      const std::string value = arg.substr(eq + 1);
       if (key == "users") {
-        args.users = static_cast<size_t>(value);
+        args.users = bench::CountArg(key, value);
       } else if (key == "items") {
-        args.items = static_cast<size_t>(value);
+        args.items = bench::CountArg(key, value);
       } else if (key == "dim") {
-        args.dim = static_cast<size_t>(value);
+        args.dim = bench::CountArg(key, value);
       } else if (key == "k") {
-        args.k = static_cast<size_t>(value);
+        args.k = bench::CountArg(key, value);
       } else if (key == "cache") {
-        args.cache = static_cast<size_t>(value);
+        args.cache = bench::CountArg(key, value);
       } else if (key == "threads") {
-        args.threads = static_cast<size_t>(value);
+        args.threads = bench::CountArg(key, value);
       } else if (key == "requests") {
-        args.requests = static_cast<size_t>(value);
+        args.requests = bench::CountArg(key, value);
       } else if (key == "slo_ms") {
-        args.slo_ms = value;
+        args.slo_ms = bench::RealArg(key, value);
       } else if (key == "zipf") {
-        args.zipf = value;
+        args.zipf = bench::RealArg(key, value);
       } else if (key == "seed") {
-        args.seed = static_cast<uint64_t>(value);
+        args.seed = bench::CountArg(key, value);
       } else if (key == "floor") {
-        args.floor = value;
+        args.floor = bench::RealArg(key, value);
       } else {
         std::fprintf(stderr, "unknown key '%s'\n", key.c_str());
         return 2;
@@ -526,12 +524,11 @@ int Main(int argc, char** argv) {
   phases.push_back(RunDeadlineMix(&server, zipf, args, args.requests / 3));
   watchdog.ForceEvaluate();
 
-  // The flood gets its own server with a tight queue + admission depth
-  // cap: the point is refusal behavior, not scoring throughput.
+  // The flood gets its own server with a tight queue bound: the point is
+  // refusal behavior, not scoring throughput.
   serve::ServerConfig flood_config = config;
   flood_config.metrics_prefix = "replay_flood";
   flood_config.max_queue = 2 * threads;
-  flood_config.admission.max_queue_depth = 2 * threads;
   flood_config.default_deadline_ms = args.slo_ms;
   watchdog.SetContext("saturation_flood");
   {

@@ -23,8 +23,7 @@ Status DrTrainerBase::Setup(const RatingDataset& dataset) {
   DTREC_RETURN_IF_ERROR(IpsTrainer::Setup(dataset));
   MfModelConfig mc = PredModelConfig(dataset, rng_.NextUint64());
   imp_ = MfModel(mc);
-  imp_opt_ = MakeOptimizer(config_.optimizer, config_.learning_rate,
-                           config_.weight_decay);
+  imp_opt_ = MakeAdam();
 
   if (!joint_learning_) {
     // Vanilla DR: pre-train the pseudo-label model on observed ratings

@@ -37,10 +37,6 @@ class DrTrainerBase : public IpsTrainer {
   /// StableDR-style self-normalization of the correction term.
   virtual bool SelfNormalized() const { return false; }
 
-  void OnLearningRate(double lr) override {
-    IpsTrainer::OnLearningRate(lr);
-    if (imp_opt_ != nullptr) imp_opt_->set_learning_rate(lr);
-  }
 
   void PredictionStep(const Batch& batch);
   void ImputationStep(const Batch& batch);
@@ -49,7 +45,7 @@ class DrTrainerBase : public IpsTrainer {
   double PseudoLabel(size_t user, size_t item) const;
 
   MfModel imp_;
-  std::unique_ptr<Optimizer> imp_opt_;
+  std::unique_ptr<Adam> imp_opt_;
   bool joint_learning_;
   double last_delta_ = 0.0;  ///< most recent targeting shift (tests)
 };

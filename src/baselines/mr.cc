@@ -31,8 +31,7 @@ Status MrTrainer::Setup(const RatingDataset& dataset) {
   }
 
   imp_ = MfModel(PredModelConfig(dataset, rng_.NextUint64()));
-  imp_opt_ = MakeOptimizer(config_.optimizer, config_.learning_rate,
-                           config_.weight_decay);
+  imp_opt_ = MakeAdam();
   prop_logits_ = Matrix(1, propensity_candidates_.size());
   imp_logits_ = Matrix(1, 2);
 

@@ -51,17 +51,13 @@ class MrTrainer : public MfJointTrainerBase {
     groups.push_back(CheckpointGroup{imp_.Params(), imp_opt_.get()});
     return groups;
   }
-  void OnLearningRate(double lr) override {
-    MfJointTrainerBase::OnLearningRate(lr);
-    if (imp_opt_ != nullptr) imp_opt_->set_learning_rate(lr);
-  }
 
  private:
   void ImputationStep(const Batch& batch, const Matrix& inv_p);
 
   std::vector<std::unique_ptr<PropensityModel>> propensity_candidates_;
   MfModel imp_;
-  std::unique_ptr<Optimizer> imp_opt_;
+  std::unique_ptr<Adam> imp_opt_;
   Matrix prop_logits_;  // 1×J mixture logits
   Matrix imp_logits_;   // 1×2 mixture logits (mean vs MF pseudo-labels)
   double mean_label_ = 0.0;

@@ -6,7 +6,6 @@
 #include "obs/event_log.h"
 #include "obs/prop_stats.h"
 #include "obs/trace.h"
-#include "optim/lr_schedule.h"
 #include "util/failpoint.h"
 #include "util/math_util.h"
 #include "util/numeric_guard.h"
@@ -47,17 +46,14 @@ Status MfJointTrainerBase::Fit(const RatingDataset& dataset,
   // state it produces that the epoch loop never mutates needs no snapshot.
   rng_ = Rng(config_.seed);
   pred_ = MfModel(PredModelConfig(dataset, rng_.NextUint64()));
-  opt_ = MakeOptimizer(config_.optimizer, config_.learning_rate,
-                       config_.weight_decay);
+  opt_ = MakeAdam();
   DTREC_RETURN_IF_ERROR(Setup(dataset));
 
   FullMatrixBatchSampler sampler(dataset, rng_.NextUint64());
   const size_t cells = dataset.num_users() * dataset.num_items();
-  size_t steps = config_.steps_per_epoch;
-  if (steps == 0) {
-    steps = (cells + config_.batch_size - 1) / config_.batch_size;
-    steps = std::min(steps, config_.max_steps_per_epoch);
-  }
+  const size_t steps =
+      std::min((cells + config_.batch_size - 1) / config_.batch_size,
+               config_.max_steps_per_epoch);
 
   const std::string ckpt_path =
       options.checkpoint_dir.empty()
@@ -97,14 +93,7 @@ Status MfJointTrainerBase::Fit(const RatingDataset& dataset,
         event_log.Open(options.events_path, /*append=*/start_epoch > 0));
   }
 
-  const InverseTimeDecayLr schedule(config_.learning_rate,
-                                    config_.lr_decay);
-  double current_lr = config_.learning_rate;
   for (size_t epoch = start_epoch; epoch < config_.epochs; ++epoch) {
-    if (config_.lr_decay > 0.0) {
-      current_lr = schedule.LearningRate(static_cast<int64_t>(epoch));
-      OnLearningRate(current_lr);
-    }
     DTREC_FAILPOINT("train/epoch_begin");
     const Stopwatch epoch_watch;
     const obs::PropensityClipSnapshot clip_begin =
@@ -126,7 +115,7 @@ Status MfJointTrainerBase::Fit(const RatingDataset& dataset,
       event.epoch = epoch;
       event.steps = steps;
       event.wall_seconds = epoch_watch.ElapsedSeconds();
-      event.learning_rate = current_lr;
+      event.learning_rate = config_.learning_rate;
       for (const auto& [loss_name, acc] : epoch_losses_) {
         event.losses.emplace_back(
             loss_name, acc.second == 0
@@ -219,6 +208,11 @@ Matrix MfJointTrainerBase::IpsWeights(
   }
   DTREC_ASSERT_FINITE(w, "MfJointTrainerBase::IpsWeights");
   return w;
+}
+
+std::unique_ptr<Adam> MfJointTrainerBase::MakeAdam() const {
+  return std::make_unique<Adam>(config_.learning_rate, 0.9, 0.999, 1e-8,
+                                config_.weight_decay);
 }
 
 MfModelConfig MfJointTrainerBase::PredModelConfig(

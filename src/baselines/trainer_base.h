@@ -14,7 +14,7 @@
 #include "data/samplers.h"
 #include "models/mf_model.h"
 #include "models/param_count.h"
-#include "optim/optimizer.h"
+#include "optim/adam.h"
 #include "propensity/propensity.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -26,12 +26,10 @@ namespace dtrec {
 struct TrainConfig {
   size_t epochs = 20;
   size_t batch_size = 2048;
-  size_t steps_per_epoch = 0;  ///< 0 → ceil(|D|/batch), capped below
+  /// An epoch is ceil(|D|/batch) steps, capped at this many.
   size_t max_steps_per_epoch = 120;
-  double learning_rate = 0.05;
-  double lr_decay = 0.0;  ///< inverse-time decay rate per epoch (0 = off)
+  double learning_rate = 0.05;  ///< Adam's, constant over the fit
   double weight_decay = 1e-5;
-  OptimizerKind optimizer = OptimizerKind::kAdam;
   size_t embedding_dim = 8;
   bool use_bias = false;  ///< user/item bias terms in MF heads
   double init_scale = 0.1;
@@ -158,12 +156,8 @@ class MfJointTrainerBase : public RecommenderTrainer {
   /// One SGD step on a uniform full-matrix batch.
   virtual void TrainStep(const Batch& batch) = 0;
 
-  /// Optional per-epoch hook (e.g. decayed schedules, recalibration).
+  /// Optional per-epoch hook (e.g. recalibration).
   virtual void EpochEnd(size_t epoch) { (void)epoch; }
-
-  /// Called when the per-epoch learning rate changes (inverse-time decay,
-  /// TrainConfig::lr_decay); subclasses owning extra optimizers forward it.
-  virtual void OnLearningRate(double lr) { opt_->set_learning_rate(lr); }
 
   /// Everything the epoch loop mutates, grouped with the optimizer that
   /// steps it — the contents of a training checkpoint. The base covers the
@@ -210,8 +204,12 @@ class MfJointTrainerBase : public RecommenderTrainer {
   MfModelConfig PredModelConfig(const RatingDataset& dataset,
                                 uint64_t seed) const;
 
+  /// The Adam every optimizer of a fit is: the config's learning rate and
+  /// weight decay with the standard betas and epsilon.
+  std::unique_ptr<Adam> MakeAdam() const;
+
   MfModel pred_;
-  std::unique_ptr<Optimizer> opt_;
+  std::unique_ptr<Adam> opt_;
   Rng rng_;
 
  private:

@@ -9,8 +9,7 @@ namespace dtrec {
 Status DtDrTrainer::Setup(const RatingDataset& dataset) {
   DTREC_RETURN_IF_ERROR(DtIpsTrainer::Setup(dataset));
   imp_ = MfModel(PredModelConfig(dataset, rng_.NextUint64()));
-  imp_opt_ = MakeOptimizer(config_.optimizer, config_.learning_rate,
-                           config_.weight_decay);
+  imp_opt_ = MakeAdam();
   imp_params_ = imp_.Params();
   return Status::OK();
 }

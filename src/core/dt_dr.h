@@ -33,10 +33,6 @@ class DtDrTrainer : public DtIpsTrainer {
                         const DisentangledGraph& graph) override;
   const char* estimator_name() const override { return "dr"; }
   std::vector<CheckpointGroup> CheckpointGroups() override;
-  void OnLearningRate(double lr) override {
-    DtIpsTrainer::OnLearningRate(lr);
-    if (imp_opt_ != nullptr) imp_opt_->set_learning_rate(lr);
-  }
 
  protected:
   /// Weight of the squared imputation residual for a cell with observation
@@ -50,7 +46,7 @@ class DtDrTrainer : public DtIpsTrainer {
   void ImputationStep(const Batch& batch);
 
   MfModel imp_;
-  std::unique_ptr<Optimizer> imp_opt_;
+  std::unique_ptr<Adam> imp_opt_;
 
   // Constants of the prediction step, kept across steps: clipped learned
   // propensities (also read by ImputationStep), pseudo-labels, DR weights.

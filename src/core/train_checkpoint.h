@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "optim/optimizer.h"
+#include "optim/adam.h"
 #include "tensor/matrix.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -32,7 +32,7 @@ namespace dtrec {
 ///   u64 num_groups ·
 ///   per group:  u64 len + optimizer name ·
 ///               u64 num_params · matrix records (tensor/serialization) ·
-///               u64 len + optimizer slot blob (Optimizer::SaveSlots) ·
+///               u64 len + optimizer slot blob (Adam::SaveSlots) ·
 ///   u32 CRC-32 over every preceding byte
 ///
 /// Load verifies the CRC before parsing a single field, then checks method
@@ -41,11 +41,12 @@ namespace dtrec {
 /// bit-flipped file with InvalidArgument.
 
 /// One (parameters, optimizer) unit: the matrices stepped together and the
-/// optimizer holding their slot state. `opt` may be null for parameter
-/// groups trained without slot state.
+/// Adam holding their slot state. `opt` may be null for parameter groups
+/// trained without slot state; such a group records an empty optimizer
+/// name and no slot blob.
 struct CheckpointGroup {
   std::vector<Matrix*> params;
-  Optimizer* opt = nullptr;
+  Adam* opt = nullptr;
 };
 
 /// Loop-cursor state saved alongside the parameter groups.

@@ -19,9 +19,7 @@ namespace dtrec::obs {
 /// reads a consistent-enough snapshot for monitoring.
 ///
 /// The histogram is unit-agnostic; the serving subsystem records
-/// microseconds, which is where the `_us` suffixes in Summary come from
-/// (kept for source compatibility with the original
-/// serve::LatencyHistogram).
+/// microseconds, which is where the `_us` suffixes in Summary come from.
 class Histogram {
  public:
   static constexpr size_t kNumBuckets = 96;

@@ -8,12 +8,51 @@
 
 #include "tensor/serialization.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace dtrec {
 
+namespace {
+
+/// u8 slot presence flag (0 or 1).
+Status WriteSlotFlag(bool present, std::ostream* out) {
+  const char flag = present ? 1 : 0;
+  out->write(&flag, 1);
+  if (!out->good()) return Status::Internal("slot flag write failed");
+  return Status::OK();
+}
+
+Result<bool> ReadSlotFlag(std::istream* in) {
+  char flag = 0;
+  in->read(&flag, 1);
+  if (in->gcount() != 1) {
+    return Status::InvalidArgument("truncated optimizer slot flag");
+  }
+  if (flag != 0 && flag != 1) {
+    return Status::InvalidArgument("corrupt optimizer slot flag");
+  }
+  return flag == 1;
+}
+
+/// Loads one matrix and verifies it matches `like`'s shape.
+Status LoadSlotMatrix(std::istream* in, const Matrix& like, Matrix* out) {
+  auto loaded = LoadMatrix(in);
+  if (!loaded.ok()) return loaded.status();
+  Matrix& m = loaded.value();
+  if (m.rows() != like.rows() || m.cols() != like.cols()) {
+    return Status::FailedPrecondition(StrFormat(
+        "optimizer slot is %zux%zu but its parameter is %zux%zu", m.rows(),
+        m.cols(), like.rows(), like.cols()));
+  }
+  *out = std::move(m);
+  return Status::OK();
+}
+
+}  // namespace
+
 Adam::Adam(double learning_rate, double beta1, double beta2, double epsilon,
            double weight_decay)
-    : Optimizer(learning_rate),
+    : lr_(learning_rate),
       beta1_(beta1),
       beta2_(beta2),
       epsilon_(epsilon),
@@ -89,14 +128,11 @@ void Adam::Step(Matrix* param, const Matrix& grad) {
   }
 }
 
-void Adam::Reset() { slots_.clear(); }
-
 Status Adam::SaveSlots(const std::vector<const Matrix*>& params,
                        std::ostream* out) const {
   for (const Matrix* param : params) {
     const auto it = slots_.find(param);
-    DTREC_RETURN_IF_ERROR(
-        optim_internal::WriteSlotFlag(it != slots_.end(), out));
+    DTREC_RETURN_IF_ERROR(WriteSlotFlag(it != slots_.end(), out));
     if (it == slots_.end()) continue;
     const Slot& slot = it->second;
     DTREC_RETURN_IF_ERROR(SaveMatrix(slot.m, out));
@@ -110,12 +146,12 @@ Status Adam::SaveSlots(const std::vector<const Matrix*>& params,
 Status Adam::LoadSlots(const std::vector<Matrix*>& params, std::istream* in) {
   slots_.clear();
   for (Matrix* param : params) {
-    auto present = optim_internal::ReadSlotFlag(in);
+    auto present = ReadSlotFlag(in);
     if (!present.ok()) return present.status();
     if (!present.value()) continue;
     Slot slot;
-    DTREC_RETURN_IF_ERROR(optim_internal::LoadSlotMatrix(in, *param, &slot.m));
-    DTREC_RETURN_IF_ERROR(optim_internal::LoadSlotMatrix(in, *param, &slot.v));
+    DTREC_RETURN_IF_ERROR(LoadSlotMatrix(in, *param, &slot.m));
+    DTREC_RETURN_IF_ERROR(LoadSlotMatrix(in, *param, &slot.v));
     in->read(reinterpret_cast<char*>(&slot.t), sizeof(slot.t));
     if (in->gcount() != static_cast<std::streamsize>(sizeof(slot.t)) ||
         slot.t < 0) {

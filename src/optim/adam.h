@@ -1,32 +1,56 @@
 #ifndef DTREC_OPTIM_ADAM_H_
 #define DTREC_OPTIM_ADAM_H_
 
+#include <cstdint>
+#include <istream>
+#include <ostream>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
-#include "optim/optimizer.h"
+#include "tensor/matrix.h"
+#include "util/status.h"
 
 namespace dtrec {
 
 /// Adam (Kingma & Ba, 2015) with bias correction and optional L2 weight
 /// decay folded into the gradient — matching the paper's training setup
-/// ("implemented on PyTorch with Adam as the optimizer").
-class Adam : public Optimizer {
+/// ("implemented on PyTorch with Adam as the optimizer"). It is the one
+/// optimizer every trainer steps with.
+///
+/// Trainers own their parameter matrices; Adam keeps per-parameter slot
+/// state (both moments and the step count) keyed by the parameter's
+/// address, so a parameter must live at a stable address for the lifetime
+/// of training.
+class Adam {
  public:
   explicit Adam(double learning_rate, double beta1 = 0.9,
                 double beta2 = 0.999, double epsilon = 1e-8,
                 double weight_decay = 0.0);
 
-  void Step(Matrix* param, const Matrix& grad) override;
-  void Reset() override;
-  std::string name() const override { return "adam"; }
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
-  /// Slot payload per present parameter: first moment m, second moment v,
-  /// then the i64 step counter t (bias correction depends on it).
+  /// Applies one in-place update to `param` given its gradient.
+  void Step(Matrix* param, const Matrix& grad);
+
+  /// The name a training checkpoint records for this optimizer's groups.
+  std::string name() const { return "adam"; }
+
+  /// Serializes the slot state for each matrix in `params`, positionally.
+  /// Slots are keyed by parameter address in memory, which means nothing
+  /// on disk — so the caller fixes an ordering (the trainer's checkpoint
+  /// param list) and Adam emits, per parameter, a u8 presence flag and,
+  /// when present, the first moment m, the second moment v (matrices in
+  /// tensor/serialization format) and the i64 step counter t (bias
+  /// correction depends on it). Parameters never stepped get flag 0.
   Status SaveSlots(const std::vector<const Matrix*>& params,
-                   std::ostream* out) const override;
-  Status LoadSlots(const std::vector<Matrix*>& params,
-                   std::istream* in) override;
+                   std::ostream* out) const;
+
+  /// Restores slot state written by SaveSlots against the same parameter
+  /// list (now the live, mutable matrices). Drops all existing slots first;
+  /// rejects shape mismatches with FailedPrecondition.
+  Status LoadSlots(const std::vector<Matrix*>& params, std::istream* in);
 
  private:
   struct Slot {
@@ -35,6 +59,7 @@ class Adam : public Optimizer {
     int64_t t = 0;
   };
 
+  double lr_;
   double beta1_;
   double beta2_;
   double epsilon_;

@@ -16,22 +16,10 @@ double SteadyNowMicros() {
 
 }  // namespace
 
-CircuitBreaker::CircuitBreaker(std::string name, CircuitBreakerConfig config,
-                               obs::MetricsRegistry* metrics, ClockFn clock)
-    : name_(std::move(name)),
-      config_(config),
+CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config, ClockFn clock)
+    : config_(config),
       clock_(clock ? std::move(clock) : ClockFn(&SteadyNowMicros)),
-      backoff_ms_(config.initial_backoff_ms),
-      state_gauge_(metrics ? metrics->GetGauge(name_ + ".state") : nullptr),
-      open_transitions_counter_(
-          metrics ? metrics->GetCounter(name_ + ".open_transitions")
-                  : nullptr),
-      failures_counter_(metrics ? metrics->GetCounter(name_ + ".failures")
-                                : nullptr),
-      rejected_counter_(metrics ? metrics->GetCounter(name_ + ".rejected")
-                                : nullptr) {
-  if (state_gauge_ != nullptr) state_gauge_->Set(0.0);
-}
+      backoff_ms_(config.initial_backoff_ms) {}
 
 void CircuitBreaker::TransitionToOpenLocked(double now_us)
     DTREC_REQUIRES(mu_) {
@@ -39,12 +27,6 @@ void CircuitBreaker::TransitionToOpenLocked(double now_us)
   probe_in_flight_ = false;
   open_until_us_ = now_us + backoff_ms_ * 1e3;
   ++open_transitions_;
-  if (open_transitions_counter_ != nullptr) {
-    open_transitions_counter_->Increment();
-  }
-  if (state_gauge_ != nullptr) {
-    state_gauge_->Set(static_cast<double>(State::kOpen));
-  }
 }
 
 bool CircuitBreaker::Allow() {
@@ -56,21 +38,16 @@ bool CircuitBreaker::Allow() {
       const double now_us = clock_();
       if (now_us < open_until_us_) {
         ++rejected_;
-        if (rejected_counter_ != nullptr) rejected_counter_->Increment();
         return false;
       }
       // Backoff elapsed: half-open, admit this caller as the one probe.
       state_ = State::kHalfOpen;
       probe_in_flight_ = true;
-      if (state_gauge_ != nullptr) {
-        state_gauge_->Set(static_cast<double>(State::kHalfOpen));
-      }
       return true;
     }
     case State::kHalfOpen:
       if (probe_in_flight_) {
         ++rejected_;
-        if (rejected_counter_ != nullptr) rejected_counter_->Increment();
         return false;
       }
       probe_in_flight_ = true;
@@ -95,9 +72,6 @@ void CircuitBreaker::RecordSuccess() {
       state_ = State::kClosed;
       consecutive_failures_ = 0;
       backoff_ms_ = config_.initial_backoff_ms;
-      if (state_gauge_ != nullptr) {
-        state_gauge_->Set(static_cast<double>(State::kClosed));
-      }
       return;
   }
 }
@@ -105,7 +79,6 @@ void CircuitBreaker::RecordSuccess() {
 void CircuitBreaker::RecordFailure() {
   std::lock_guard<std::mutex> lock(mu_);
   ++failures_;
-  if (failures_counter_ != nullptr) failures_counter_->Increment();
   switch (state_) {
     case State::kClosed:
       if (++consecutive_failures_ >= config_.failure_threshold) {
@@ -142,17 +115,6 @@ uint64_t CircuitBreaker::failures() const {
 uint64_t CircuitBreaker::rejected() const {
   std::lock_guard<std::mutex> lock(mu_);
   return rejected_;
-}
-
-void CircuitBreaker::ForceClose() {
-  std::lock_guard<std::mutex> lock(mu_);
-  state_ = State::kClosed;
-  consecutive_failures_ = 0;
-  probe_in_flight_ = false;
-  backoff_ms_ = config_.initial_backoff_ms;
-  if (state_gauge_ != nullptr) {
-    state_gauge_->Set(static_cast<double>(State::kClosed));
-  }
 }
 
 }  // namespace dtrec::serve

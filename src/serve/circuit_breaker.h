@@ -4,9 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <string>
 
-#include "obs/metrics.h"
 #include "util/thread_annotations.h"
 
 namespace dtrec::serve {
@@ -51,12 +49,8 @@ class CircuitBreaker {
 
   using ClockFn = std::function<double()>;  ///< monotonic microseconds
 
-  /// `name` keys the breaker's metrics in `metrics` (may be null for an
-  /// unexported breaker): `<name>.state`, `<name>.open_transitions`,
-  /// `<name>.failures`, `<name>.rejected`.
-  CircuitBreaker(std::string name, CircuitBreakerConfig config,
-                 obs::MetricsRegistry* metrics = nullptr,
-                 ClockFn clock = ClockFn());
+  explicit CircuitBreaker(CircuitBreakerConfig config,
+                          ClockFn clock = ClockFn());
 
   CircuitBreaker(const CircuitBreaker&) = delete;
   CircuitBreaker& operator=(const CircuitBreaker&) = delete;
@@ -79,16 +73,9 @@ class CircuitBreaker {
   /// Allow() calls answered false since construction.
   uint64_t rejected() const;
 
-  /// Back to Closed with zeroed failure count and initial backoff. For
-  /// operators/tests; transition counters are preserved.
-  void ForceClose();
-
-  const std::string& name() const { return name_; }
-
  private:
   void TransitionToOpenLocked(double now_us) DTREC_REQUIRES(mu_);
 
-  const std::string name_;
   const CircuitBreakerConfig config_;
   const ClockFn clock_;
 
@@ -101,13 +88,6 @@ class CircuitBreaker {
   uint64_t open_transitions_ DTREC_GUARDED_BY(mu_) = 0;
   uint64_t failures_ DTREC_GUARDED_BY(mu_) = 0;
   uint64_t rejected_ DTREC_GUARDED_BY(mu_) = 0;
-
-  // Registry-owned exports (null when unexported). state gauge: 0 closed,
-  // 1 open, 2 half-open — matches the State enum values.
-  obs::Gauge* const state_gauge_;
-  obs::Counter* const open_transitions_counter_;
-  obs::Counter* const failures_counter_;
-  obs::Counter* const rejected_counter_;
 };
 
 }  // namespace dtrec::serve

@@ -22,12 +22,9 @@ Status ProbeCandidate(const ServingModel& model) {
 
 }  // namespace
 
-ModelRegistry::ModelRegistry(obs::MetricsRegistry* metrics,
-                             const std::string& metrics_prefix,
-                             CircuitBreakerConfig breaker_config,
+ModelRegistry::ModelRegistry(CircuitBreakerConfig breaker_config,
                              CircuitBreaker::ClockFn breaker_clock)
-    : swap_breaker_(metrics_prefix + ".breaker.swap", breaker_config, metrics,
-                    std::move(breaker_clock)) {}
+    : swap_breaker_(breaker_config, std::move(breaker_clock)) {}
 
 Status ModelRegistry::SanityProbe(const ServingModel& model) {
   if (model.num_users() == 0 || model.num_items() == 0) {

@@ -51,12 +51,8 @@ struct DisentangledShape {
 /// layer uses it to invalidate score caches after a swap).
 class ModelRegistry {
  public:
-  /// `metrics` (nullable) exports the swap-breaker state under
-  /// `<metrics_prefix>.breaker.swap.*`; `breaker_clock` is injectable for
-  /// deterministic backoff tests.
-  explicit ModelRegistry(obs::MetricsRegistry* metrics = nullptr,
-                         const std::string& metrics_prefix = "registry",
-                         CircuitBreakerConfig breaker_config = {},
+  /// `breaker_clock` is injectable for deterministic backoff tests.
+  explicit ModelRegistry(CircuitBreakerConfig breaker_config = {},
                          CircuitBreaker::ClockFn breaker_clock =
                              CircuitBreaker::ClockFn());
 
@@ -99,7 +95,6 @@ class ModelRegistry {
   static Status SanityProbe(const ServingModel& model);
 
   /// Breaker over the publish path (open = publishes fail fast).
-  CircuitBreaker& swap_breaker() { return swap_breaker_; }
   const CircuitBreaker& swap_breaker() const { return swap_breaker_; }
 
   /// Restores a DisentangledEmbeddings checkpoint from `path` (shapes per

@@ -51,8 +51,6 @@ RecommendServer::RecommendServer(const ModelRegistry* registry,
           metrics_->GetHistogram(config_.metrics_prefix + ".score_us")),
       total_hist_(
           metrics_->GetHistogram(config_.metrics_prefix + ".total_us")),
-      admission_(config_.admission, metrics_,
-                 config_.metrics_prefix + ".admission"),
       pool_(config_.num_threads, config_.max_queue) {
   DTREC_CHECK(registry != nullptr);
   // A fresh server owns its metric prefix and starts from zero — a prior
@@ -94,34 +92,28 @@ void RecommendServer::StatsDumpLoop() {
 
 std::future<Recommendation> RecommendServer::Submit(
     const RecommendRequest& request) {
-  const bool admitted = admission_.TryAdmit(pool_.pending()) ==
-                        AdmissionController::Decision::kAdmit;
-  // The trace id is minted at the front door, whatever the admission
-  // verdict, so a shed request's annotation chain carries the same kind
-  // of identity as a served one.
+  // The trace id is minted at the front door, whether the queue takes the
+  // request or not, so a shed request's annotation chain carries the same
+  // kind of identity as a served one.
   const uint64_t trace_id = obs::NewTraceId();
-  if (admitted) {
-    auto task = std::make_shared<std::packaged_task<Recommendation()>>(
-        [this, request, trace_id, submitted = Stopwatch()] {
-          return Handle(request, submitted.ElapsedMicros(),
-                        DegradeReason::kNone, trace_id);
-        });
-    std::future<Recommendation> future = task->get_future();
-    if (pool_.Submit([task] { (*task)(); })) return future;
-    // Backlog at max_queue despite admission: fall through to the shed
-    // path. (Admission depth and pool bound race benignly — both resolve
-    // to the same rung.)
-  }
-  // Shed on the caller's thread: O(1), empty slate, future already
-  // resolved. Overload costs a refusal per excess request instead of an
-  // ever-longer queue of doomed scoring passes.
+  auto task = std::make_shared<std::packaged_task<Recommendation()>>(
+      [this, request, trace_id, submitted = Stopwatch()] {
+        return Handle(request, submitted.ElapsedMicros(),
+                      DegradeReason::kNone, trace_id);
+      });
+  std::future<Recommendation> future = task->get_future();
+  if (pool_.Submit([task] { (*task)(); })) return future;
+  // The queue already holds max_queue tasks. Shed on the caller's thread:
+  // O(1), empty slate, future already resolved. Overload costs a refusal
+  // per excess request instead of an ever-longer queue of doomed scoring
+  // passes.
   std::packaged_task<Recommendation()> shed_task([this, &request, trace_id] {
     return Handle(request, /*waited_us=*/0.0, DegradeReason::kQueueShed,
                   trace_id);
   });
-  std::future<Recommendation> future = shed_task.get_future();
+  std::future<Recommendation> shed = shed_task.get_future();
   shed_task();
-  return future;
+  return shed;
 }
 
 Recommendation RecommendServer::Recommend(const RecommendRequest& request) {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "serve/admission_controller.h"
 #include "serve/model_registry.h"
 #include "serve/server_stats.h"
 #include "serve/topk_scorer.h"
@@ -30,10 +29,6 @@ struct ServerConfig {
   /// would only time out of. Bounds worst-case memory and tail latency
   /// under overload. 0 = unbounded (never shed at the queue).
   size_t max_queue = 0;
-  /// Front-door admission control applied before the queue (token-bucket
-  /// rate limit + queue-depth cap). All-zero = admit everything; the
-  /// queue-full check above still applies.
-  AdmissionConfig admission;
   /// Per-request latency budget (submit → response). A request whose
   /// budget is already spent when a worker picks it up is answered with
   /// the degraded popularity slate instead of a full scoring pass.
@@ -87,14 +82,14 @@ struct Recommendation {
 ///
 ///   registry ──Acquire()──▶ ServingModel (pinned per request)
 ///        │                        │
-///   AdmissionController ─▶ ThreadPool workers ──▶ TopKScorer::TopK
+///   Submit() ────────────▶ ThreadPool workers ──▶ TopKScorer::TopK
 ///        │                        │                (sweep + LRU cache)
 ///        └──── MetricsRegistry ◀── latency histograms / counters
 ///
-/// Submit() runs the admission controller (token bucket + queue depth),
-/// then enqueues onto the pool and returns a future; Recommend() is the
-/// synchronous in-thread path (used by the workers themselves, and handy
-/// for tests/examples). Every request pins the registry's current model
+/// Submit() enqueues onto the pool, whose max_queue bound is the one
+/// refusal point, and returns a future; Recommend() is the synchronous
+/// in-thread path (used by the workers themselves, and handy for
+/// tests/examples). Every request pins the registry's current model
 /// via shared_ptr, so hot swaps are torn-model-free by construction; on
 /// observing a new generation the server eagerly drops the score cache
 /// (stale entries are already unreachable — the cache is
@@ -105,11 +100,11 @@ struct Recommendation {
 ///
 ///   kFullTopK ─▶ kCachedSlate ─▶ kPopularity ─▶ kShed
 ///
-/// Admission/queue rejection ⇒ kShed (empty slate, O(1)). A burned
-/// deadline ⇒ kPopularity (reason kDeadlineMiss). A user id the pinned
-/// model has no row for — a cold-start user, or one a hot swap to a
-/// smaller checkpoint dropped — ⇒ kPopularity (reason kUnknownUser),
-/// before the scorer or the cache sees the id. Everything else is one
+/// A full queue ⇒ kShed (empty slate, O(1)). A burned deadline ⇒
+/// kPopularity (reason kDeadlineMiss). A user id the pinned model has no
+/// row for — a cold-start user, or one a hot swap to a smaller checkpoint
+/// dropped — ⇒ kPopularity (reason kUnknownUser), before the scorer or
+/// the cache sees the id. Everything else is one
 /// TopKScorer::TopK call: kCachedSlate on a cache hit, kFullTopK on a
 /// fresh sweep. The chaos suite replays traffic concurrently with hot
 /// swaps and asserts the counters stay torn-free.
@@ -128,21 +123,19 @@ class RecommendServer {
   RecommendServer(const RecommendServer&) = delete;
   RecommendServer& operator=(const RecommendServer&) = delete;
 
-  /// Asynchronous: admission-check, then fan the request onto the worker
-  /// pool. A rejected request's future is already resolved (rung kShed).
+  /// Asynchronous: fan the request onto the worker pool. A request the
+  /// full queue refuses gets an already-resolved future (rung kShed).
   std::future<Recommendation> Submit(const RecommendRequest& request);
 
   /// Synchronous: handle on the calling thread (still records stats and
-  /// honors the deadline — queue time is simply ~0, and admission is
-  /// bypassed: there is no queue to protect).
+  /// honors the deadline — queue time is simply ~0, and nothing is shed:
+  /// there is no queue to protect).
   Recommendation Recommend(const RecommendRequest& request);
 
   ServerStats Snapshot() const;
   void ResetStats();
 
   const ServerConfig& config() const { return config_; }
-
-  const AdmissionController& admission() const { return admission_; }
 
  private:
   /// `waited_us` is the time the request spent queued before handling.
@@ -186,8 +179,6 @@ class RecommendServer {
   std::atomic<uint64_t> seen_generation_{0};
   /// Round-robin cursor for trace head-sampling (trace_sample_every).
   std::atomic<uint64_t> trace_tick_{0};
-
-  AdmissionController admission_;
 
   std::mutex dump_mu_;
   std::condition_variable dump_cv_;

@@ -8,13 +8,6 @@
 
 namespace dtrec::serve {
 
-/// The serving latency histogram now lives in src/obs/ as the
-/// unit-agnostic obs::Histogram (same geometric buckets, plus Merge() and
-/// snapshot-diff), registered through obs::MetricsRegistry so serving and
-/// training share one export path. This alias keeps every existing
-/// serve:: call site and test source-compatible.
-using LatencyHistogram = ::dtrec::obs::Histogram;
-
 /// The degradation ladder: every request resolves to exactly one rung,
 /// best rung first. Numeric order IS ladder order, so "response A is no
 /// worse than B" is an integer comparison — Recommendation::degraded()
@@ -31,7 +24,7 @@ enum class ServeRung : uint8_t {
 enum class DegradeReason : uint8_t {
   kNone = 0,
   kDeadlineMiss = 1,  ///< latency budget burned before scoring could start
-  kQueueShed = 2,     ///< refused at admission or by the full worker queue
+  kQueueShed = 2,     ///< refused by the full worker queue
   kUnknownUser = 3,   ///< user id outside the pinned model's user table
 };
 
@@ -64,9 +57,9 @@ struct ServerStats {
   uint64_t model_swaps = 0;   ///< registry generation changes observed
   uint64_t generation = 0;    ///< model generation at snapshot time
 
-  LatencyHistogram::Summary queue_us;  ///< submit → worker pickup
-  LatencyHistogram::Summary score_us;  ///< scoring (or fallback) stage
-  LatencyHistogram::Summary total_us;  ///< submit → response ready
+  obs::Histogram::Summary queue_us;  ///< submit → worker pickup
+  obs::Histogram::Summary score_us;  ///< scoring (or fallback) stage
+  obs::Histogram::Summary total_us;  ///< submit → response ready
 
   /// Requests that landed below the top two rungs.
   uint64_t degraded() const { return rung_popularity + rung_shed; }

@@ -212,22 +212,6 @@ TEST(MrTest, MixtureStaysOnSimplex) {
   EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
-TEST(TrainerBaseTest, LrDecayStillTrains) {
-  const SimulatedData world = TinyWorld(41);
-  TrainConfig config = TinyConfig();
-  config.lr_decay = 0.5;  // aggressive inverse-time decay
-  config.epochs = 8;
-  MfNaiveTrainer trainer(config);
-  ASSERT_TRUE(trainer.Fit(world.dataset).ok());
-  double total = 0.0;
-  for (const auto& t : world.dataset.train()) {
-    const double diff = trainer.Predict(t.user, t.item) - t.rating;
-    total += diff * diff;
-  }
-  EXPECT_LT(total / static_cast<double>(world.dataset.train().size()),
-            0.25);
-}
-
 TEST(LossInventoryTest, MatchesTable2Structure) {
   TrainConfig config = TinyConfig();
   EXPECT_TRUE(MakeTrainer("ESMM", config).value()->Losses().ctcvr_loss);

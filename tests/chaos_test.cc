@@ -157,11 +157,11 @@ TEST_F(ChaosTest, AllServeFailpointsArmedDuringConcurrentReplay) {
   failpoint::Arm("serve/swap", swap_spec);
 
   obs::MetricsRegistry metrics;
-  ModelRegistry registry(&metrics, "chaos.registry");
+  ModelRegistry registry;
   registry.Publish(HealthyModel(64, 128, 8, /*seed=*/1));
 
-  // No deadline, no admission config and an unbounded queue: nothing in
-  // this storm may degrade, so every response must be a real slate.
+  // No deadline and an unbounded queue: nothing in this storm may
+  // degrade, so every response must be a real slate.
   ServerConfig config;
   config.num_threads = 3;
   config.default_k = 10;
@@ -232,8 +232,7 @@ TEST_F(ChaosTest, AllServeFailpointsArmedDuringConcurrentReplay) {
 // --------------------------------------------------------- per-site drills
 
 TEST_F(ChaosTest, SwapFaultRejectsCandidateAndRollbackRestoresService) {
-  obs::MetricsRegistry metrics;
-  ModelRegistry registry(&metrics, "chaoss.registry");
+  ModelRegistry registry;
   registry.Publish(HealthyModel(8, 32, 4, /*seed=*/1));
   registry.Publish(HealthyModel(8, 32, 4, /*seed=*/2));
   const uint64_t live_gen = registry.generation();

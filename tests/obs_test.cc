@@ -47,6 +47,7 @@ TEST(ObsHistogramTest, PercentilesAreOrderedAndBracketTheData) {
   // Geometric buckets guarantee ≤25% relative error on any percentile.
   EXPECT_NEAR(s.p50_us, 500.0, 150.0);
   EXPECT_NEAR(s.p95_us, 950.0, 250.0);
+  EXPECT_NEAR(s.p99_us, 990.0, 250.0);
   EXPECT_NEAR(s.max_us, 1000.0, 1.0);
 }
 
@@ -89,6 +90,7 @@ TEST(ObsHistogramTest, MergeFoldsCountsSumAndMax) {
 
 TEST(ObsHistogramTest, ResetZeroesEverything) {
   Histogram h;
+  EXPECT_EQ(h.Summarize().count, 0u);  // a fresh histogram is empty
   h.Record(42.0);
   h.Reset();
   const Histogram::Summary s = h.Summarize();

@@ -6,45 +6,11 @@
 #include <sstream>
 #include <vector>
 
-#include "optim/adagrad.h"
 #include "optim/adam.h"
-#include "optim/lr_schedule.h"
-#include "optim/optimizer.h"
-#include "optim/sgd.h"
 #include "tensor/serialization.h"
 
 namespace dtrec {
 namespace {
-
-TEST(SgdTest, PlainStepMath) {
-  Sgd opt(0.1);
-  Matrix param{{1.0, 2.0}};
-  Matrix grad{{10.0, -10.0}};
-  opt.Step(&param, grad);
-  EXPECT_DOUBLE_EQ(param(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(param(0, 1), 3.0);
-}
-
-TEST(SgdTest, WeightDecayShrinksParams) {
-  Sgd opt(0.1, 0.0, /*weight_decay=*/1.0);
-  Matrix param{{1.0}};
-  Matrix zero_grad{{0.0}};
-  opt.Step(&param, zero_grad);
-  EXPECT_DOUBLE_EQ(param(0, 0), 0.9);
-}
-
-TEST(SgdTest, MomentumAccumulates) {
-  Sgd opt(1.0, 0.5);
-  Matrix param{{0.0}};
-  Matrix grad{{1.0}};
-  opt.Step(&param, grad);  // v=1, p=-1
-  EXPECT_DOUBLE_EQ(param(0, 0), -1.0);
-  opt.Step(&param, grad);  // v=1.5, p=-2.5
-  EXPECT_DOUBLE_EQ(param(0, 0), -2.5);
-  opt.Reset();
-  opt.Step(&param, grad);  // momentum state cleared: v=1
-  EXPECT_DOUBLE_EQ(param(0, 0), -3.5);
-}
 
 TEST(AdamTest, FirstStepIsSignedLearningRate) {
   Adam opt(0.001);
@@ -122,68 +88,6 @@ TEST(AdamTest, SeparateSlotsPerParameter) {
   // (per-parameter second-moment slots).
   EXPECT_NEAR(a(0, 0), 0.9, 1e-3);
   EXPECT_NEAR(b(0, 0), 0.9, 1e-3);
-}
-
-TEST(AdaGradTest, StepShrinksWithAccumulatedGradient) {
-  AdaGrad opt(1.0);
-  Matrix x{{0.0}};
-  Matrix grad{{1.0}};
-  opt.Step(&x, grad);
-  const double first_step = -x(0, 0);
-  EXPECT_NEAR(first_step, 1.0, 1e-6);
-  const double before = x(0, 0);
-  opt.Step(&x, grad);
-  const double second_step = before - x(0, 0);
-  EXPECT_LT(second_step, first_step);
-  EXPECT_NEAR(second_step, 1.0 / std::sqrt(2.0), 1e-6);
-}
-
-TEST(MakeOptimizerTest, BuildsEachKind) {
-  EXPECT_EQ(MakeOptimizer(OptimizerKind::kSgd, 0.1)->name(), "sgd");
-  EXPECT_EQ(MakeOptimizer(OptimizerKind::kAdam, 0.1)->name(), "adam");
-  EXPECT_EQ(MakeOptimizer(OptimizerKind::kAdaGrad, 0.1)->name(), "adagrad");
-}
-
-TEST(ClipGradNormTest, ClipsOnlyWhenAboveThreshold) {
-  Matrix g1{{3.0}}, g2{{4.0}};  // joint norm 5
-  const double norm = ClipGradNorm({&g1, &g2}, 10.0);
-  EXPECT_DOUBLE_EQ(norm, 5.0);
-  EXPECT_DOUBLE_EQ(g1(0, 0), 3.0);  // untouched
-
-  const double norm2 = ClipGradNorm({&g1, &g2}, 1.0);
-  EXPECT_DOUBLE_EQ(norm2, 5.0);
-  EXPECT_NEAR(std::sqrt(g1.FrobeniusNormSquared() +
-                        g2.FrobeniusNormSquared()),
-              1.0, 1e-12);
-}
-
-TEST(LrScheduleTest, Constant) {
-  ConstantLr lr(0.05);
-  EXPECT_DOUBLE_EQ(lr.LearningRate(0), 0.05);
-  EXPECT_DOUBLE_EQ(lr.LearningRate(1000), 0.05);
-}
-
-TEST(LrScheduleTest, ExponentialDecay) {
-  ExponentialDecayLr lr(1.0, 0.5, 10);
-  EXPECT_DOUBLE_EQ(lr.LearningRate(0), 1.0);
-  EXPECT_NEAR(lr.LearningRate(10), 0.5, 1e-12);
-  EXPECT_NEAR(lr.LearningRate(20), 0.25, 1e-12);
-}
-
-TEST(LrScheduleTest, InverseTimeDecay) {
-  InverseTimeDecayLr lr(1.0, 0.1);
-  EXPECT_DOUBLE_EQ(lr.LearningRate(0), 1.0);
-  EXPECT_NEAR(lr.LearningRate(10), 0.5, 1e-12);
-}
-
-TEST(OptimizerTest, LearningRateMutable) {
-  Sgd opt(0.1);
-  opt.set_learning_rate(0.2);
-  EXPECT_DOUBLE_EQ(opt.learning_rate(), 0.2);
-  Matrix p{{0.0}};
-  Matrix g{{1.0}};
-  opt.Step(&p, g);
-  EXPECT_DOUBLE_EQ(p(0, 0), -0.2);
 }
 
 }  // namespace

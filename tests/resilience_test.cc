@@ -1,9 +1,8 @@
 // Unit tests for the serving-resilience primitives: CircuitBreaker state
-// machine + exponential backoff (driven by a fake clock, no sleeping),
-// AdmissionController token bucket / depth cap, and the ModelRegistry
-// publish-probe / swap-breaker / rollback path. The multi-threaded
-// fault-storm coverage lives in chaos_test.cc; this file pins down the
-// single-threaded protocol contracts those storms rely on.
+// machine + exponential backoff (driven by a fake clock, no sleeping) and
+// the ModelRegistry publish-probe / swap-breaker / rollback path. The
+// multi-threaded fault-storm coverage lives in chaos_test.cc; this file
+// pins down the single-threaded protocol contracts those storms rely on.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "obs/metrics.h"
-#include "serve/admission_controller.h"
 #include "serve/circuit_breaker.h"
 #include "serve/model_registry.h"
 #include "serve/serving_model.h"
@@ -80,7 +77,7 @@ CircuitBreakerConfig TightBreaker() {
 
 TEST(CircuitBreakerTest, OpensOnlyOnConsecutiveFailures) {
   FakeClock clock;
-  CircuitBreaker breaker("b", TightBreaker(), nullptr, clock.Fn());
+  CircuitBreaker breaker(TightBreaker(), clock.Fn());
 
   // A success between failures resets the streak: 2 + success + 2 ≠ trip.
   for (int i = 0; i < 2; ++i) breaker.RecordFailure();
@@ -98,7 +95,7 @@ TEST(CircuitBreakerTest, OpensOnlyOnConsecutiveFailures) {
 
 TEST(CircuitBreakerTest, HalfOpenAdmitsExactlyOneProbe) {
   FakeClock clock;
-  CircuitBreaker breaker("b", TightBreaker(), nullptr, clock.Fn());
+  CircuitBreaker breaker(TightBreaker(), clock.Fn());
   for (int i = 0; i < 3; ++i) breaker.RecordFailure();
   ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
 
@@ -114,7 +111,7 @@ TEST(CircuitBreakerTest, HalfOpenAdmitsExactlyOneProbe) {
 
 TEST(CircuitBreakerTest, FailedProbeDoublesBackoffUpToCap) {
   FakeClock clock;
-  CircuitBreaker breaker("b", TightBreaker(), nullptr, clock.Fn());
+  CircuitBreaker breaker(TightBreaker(), clock.Fn());
   for (int i = 0; i < 3; ++i) breaker.RecordFailure();
 
   // Failed probes: backoff 100ms → 200ms → 400ms → 400ms (capped).
@@ -136,77 +133,6 @@ TEST(CircuitBreakerTest, FailedProbeDoublesBackoffUpToCap) {
   for (int i = 0; i < 3; ++i) breaker.RecordFailure();
   clock.AdvanceMicros(100e3);
   EXPECT_TRUE(breaker.Allow()) << "backoff should have reset to 100ms";
-}
-
-TEST(CircuitBreakerTest, ForceCloseRestoresServiceAndKeepsCounters) {
-  FakeClock clock;
-  CircuitBreaker breaker("b", TightBreaker(), nullptr, clock.Fn());
-  for (int i = 0; i < 3; ++i) breaker.RecordFailure();
-  ASSERT_FALSE(breaker.Allow());
-  breaker.ForceClose();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(breaker.Allow());
-  EXPECT_EQ(breaker.open_transitions(), 1u);  // history preserved
-}
-
-TEST(CircuitBreakerTest, ExportsStateAndCountersToRegistry) {
-  FakeClock clock;
-  obs::MetricsRegistry metrics;
-  CircuitBreaker breaker("dep", TightBreaker(), &metrics, clock.Fn());
-  for (int i = 0; i < 3; ++i) breaker.RecordFailure();
-  (void)breaker.Allow();  // rejected while open
-  const std::string dump = metrics.DumpText();
-  EXPECT_NE(dump.find("dep.state"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("dep.open_transitions"), std::string::npos);
-  EXPECT_NE(dump.find("dep.failures"), std::string::npos);
-  EXPECT_NE(dump.find("dep.rejected"), std::string::npos);
-}
-
-// ------------------------------------------------------ AdmissionController
-
-TEST(AdmissionControllerTest, DepthRejectionDoesNotConsumeTokens) {
-  FakeClock clock;
-  AdmissionConfig config;
-  config.rate_per_s = 1.0;
-  config.burst = 1.0;
-  config.max_queue_depth = 2;
-  AdmissionController admission(config, nullptr, "adm", clock.Fn());
-
-  EXPECT_EQ(admission.TryAdmit(2), AdmissionController::Decision::kRejectDepth);
-  EXPECT_DOUBLE_EQ(admission.tokens(), 1.0);  // depth check spent nothing
-  EXPECT_EQ(admission.TryAdmit(0), AdmissionController::Decision::kAdmit);
-  EXPECT_EQ(admission.TryAdmit(0), AdmissionController::Decision::kRejectRate);
-  EXPECT_EQ(admission.admitted(), 1u);
-  EXPECT_EQ(admission.rejected_depth(), 1u);
-  EXPECT_EQ(admission.rejected_rate(), 1u);
-}
-
-TEST(AdmissionControllerTest, TokenBucketRefillsAtConfiguredRate) {
-  FakeClock clock;
-  AdmissionConfig config;
-  config.rate_per_s = 1000.0;
-  config.burst = 5.0;
-  AdmissionController admission(config, nullptr, "adm", clock.Fn());
-
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(admission.TryAdmit(0), AdmissionController::Decision::kAdmit);
-  }
-  EXPECT_EQ(admission.TryAdmit(0), AdmissionController::Decision::kRejectRate);
-  clock.AdvanceMicros(2000.0);  // 2ms at 1000/s → 2 tokens
-  EXPECT_EQ(admission.TryAdmit(0), AdmissionController::Decision::kAdmit);
-  EXPECT_EQ(admission.TryAdmit(0), AdmissionController::Decision::kAdmit);
-  EXPECT_EQ(admission.TryAdmit(0), AdmissionController::Decision::kRejectRate);
-  clock.AdvanceMicros(3600e6);  // an hour refills to burst, not beyond
-  EXPECT_DOUBLE_EQ(admission.tokens(), 5.0);
-}
-
-TEST(AdmissionControllerTest, AllZeroConfigAdmitsEverything) {
-  AdmissionController admission(AdmissionConfig{});
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(admission.TryAdmit(1000000),
-              AdmissionController::Decision::kAdmit);
-  }
-  EXPECT_EQ(admission.admitted(), 100u);
 }
 
 // ----------------------------------------------- ModelRegistry resilience
@@ -232,7 +158,7 @@ TEST(ModelRegistryResilienceTest, RejectedCandidateKeepsLiveModelServing) {
 TEST(ModelRegistryResilienceTest, RepeatedBadCandidatesOpenSwapBreaker) {
   FakeClock clock;
   CircuitBreakerConfig breaker = TightBreaker();
-  ModelRegistry registry(nullptr, "registry", breaker, clock.Fn());
+  ModelRegistry registry(breaker, clock.Fn());
   registry.Publish(HealthyModel());
 
   for (int i = 0; i < 3; ++i) {

@@ -8,7 +8,7 @@
 #include "core/disentangled_embeddings.h"
 #include "core/train_checkpoint.h"
 #include "models/mf_model.h"
-#include "optim/sgd.h"
+#include "optim/adam.h"
 #include "tensor/serialization.h"
 #include "util/atomic_file.h"
 #include "util/crc32.h"
@@ -200,10 +200,10 @@ TEST(CorruptionFuzzTest, MatrixEveryByteFlipRejected) {
 }
 
 /// A small but fully-featured train checkpoint: two parameter matrices,
-/// a momentum SGD optimizer with one materialized velocity slot, RNG
-/// states with the cached-normal half populated.
+/// an Adam optimizer with one materialized slot (both moments and the
+/// step counter), RNG states with the cached-normal half populated.
 struct FuzzCheckpoint {
-  FuzzCheckpoint() : opt(0.1, /*momentum=*/0.9) {
+  FuzzCheckpoint() : opt(0.1) {
     MfModelConfig config;
     config.num_users = 6;
     config.num_items = 4;
@@ -212,13 +212,13 @@ struct FuzzCheckpoint {
     config.seed = 31;
     model = MfModel(config);
     const Matrix grad = Matrix::Constant(6, 3, 0.01);
-    opt.Step(model.Params()[0], grad);  // creates the velocity slot
+    opt.Step(model.Params()[0], grad);  // creates the moment slot
   }
   std::vector<CheckpointGroup> Groups() {
     return {CheckpointGroup{model.Params(), &opt}};
   }
   MfModel model;
-  Sgd opt;
+  Adam opt;
 };
 
 std::string SerializedCheckpointBytes() {
@@ -267,6 +267,40 @@ TEST(CorruptionFuzzTest, CheckpointEveryByteFlipRejected) {
         << "flip at byte " << pos << " of " << bytes.size()
         << " was accepted";
   }
+}
+
+// DTCK format pin. A fixed TrainState and one Adam group whose parameters
+// are set by hand, one stepped twice and one never stepped, must save to a
+// file of this size and trailing CRC-32. A change to the header, the
+// matrix records, the Adam slot blob or Adam's arithmetic moves them, and
+// checkpoints written before it would no longer resume bit for bit.
+TEST(TrainCheckpointFormatTest, FixedStateSavesPinnedBytes) {
+  constexpr size_t kPinnedSize = 431;
+  constexpr uint32_t kPinnedCrc = 0xEF7B4AC1;
+  Matrix stepped{{0.25, -1.5, 3.0}, {0.125, 2.0, -0.75}};
+  Matrix unstepped{{1.0, -2.0}};
+  Adam adam(0.01, 0.9, 0.999, 1e-8, /*weight_decay=*/1e-3);
+  adam.Step(&stepped, Matrix{{0.5, -0.25, 1.0}, {0.0, 2.0, -0.125}});
+  adam.Step(&stepped, Matrix{{-0.5, 0.75, 0.0}, {1.5, -1.0, 0.25}});
+  TrainState state;
+  state.method = "PIN";
+  state.next_epoch = 7;
+  state.trainer_rng = Rng(1).state();
+  Rng sampler(2);
+  (void)sampler.Normal();  // populates the cached-normal half
+  state.sampler_rng = sampler.state();
+  const std::string path = TempPath("format_pin.ckpt");
+  ASSERT_TRUE(SaveTrainCheckpoint(path, state,
+                                  {CheckpointGroup{{&stepped, &unstepped},
+                                                   &adam}})
+                  .ok());
+  std::string bytes;
+  ASSERT_TRUE(ReadFile(path, &bytes).ok());
+  ASSERT_GE(bytes.size(), sizeof(uint32_t));
+  uint32_t crc = 0;
+  std::memcpy(&crc, bytes.data() + bytes.size() - sizeof(crc), sizeof(crc));
+  EXPECT_EQ(bytes.size(), kPinnedSize);
+  EXPECT_EQ(crc, kPinnedCrc);
 }
 
 }  // namespace

@@ -20,9 +20,6 @@
 //   stats_every_s=0   period of the background stats-dump log line
 //                     (0 disables the dump thread)
 //   max_queue=0       worker-queue bound; excess requests shed (0 = off)
-//   admit_rate=0      admission token-bucket rate per second (0 = off)
-//   admit_burst=0     admission token-bucket burst capacity
-//   admit_depth=0     admission queue-depth shed threshold (0 = off)
 //   metrics_format=json   --metrics-out format: json | text | prometheus
 //
 // Any other key, a numeric value that is not one finite number, or a
@@ -54,6 +51,7 @@
 #include "core/checkpoint.h"
 #include "core/dt_dr.h"
 #include "data/rating_dataset.h"
+#include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -88,8 +86,7 @@ const std::map<std::string, ArgKind>& KnownArgs() {
       {"epochs", ArgKind::kCount},       {"dim", ArgKind::kCount},
       {"seed", ArgKind::kCount},         {"ckpt", ArgKind::kText},
       {"stats_every_s", ArgKind::kReal}, {"max_queue", ArgKind::kCount},
-      {"admit_rate", ArgKind::kReal},    {"admit_burst", ArgKind::kReal},
-      {"admit_depth", ArgKind::kCount},  {"metrics_format", ArgKind::kText},
+      {"metrics_format", ArgKind::kText},
   };
   return known;
 }
@@ -133,7 +130,7 @@ Status TrainAndCheckpoint(const RatingDataset& dataset,
 }
 
 void AddStageRow(TableWriter* table, const std::string& stage,
-                 const serve::LatencyHistogram::Summary& s) {
+                 const obs::Histogram::Summary& s) {
   table->AddRow({stage, StrFormat("%llu", (unsigned long long)s.count),
                  FormatDouble(s.mean_us, 1), FormatDouble(s.p50_us, 1),
                  FormatDouble(s.p95_us, 1), FormatDouble(s.p99_us, 1),
@@ -251,16 +248,11 @@ int Main(int argc, char** argv) {
   server_config.default_deadline_ms = deadline_ms;
   server_config.cache.capacity = cache;
   server_config.stats_dump_period_s = GetNum(args, "stats_every_s", 0.0);
-  // Overload-resilience knobs (all default off — an unconfigured run
-  // admits everything): bounded worker queue, token-bucket admission
-  // rate, and admission queue-depth cap. Excess traffic is shed with an
-  // empty slate instead of queueing without bound.
+  // Bounded worker queue (default off — an unconfigured run queues
+  // everything): excess traffic is shed with an empty slate instead of
+  // queueing without bound.
   server_config.max_queue =
       static_cast<size_t>(GetNum(args, "max_queue", 0));
-  server_config.admission.rate_per_s = GetNum(args, "admit_rate", 0.0);
-  server_config.admission.burst = GetNum(args, "admit_burst", 0.0);
-  server_config.admission.max_queue_depth =
-      static_cast<size_t>(GetNum(args, "admit_depth", 0));
   RecommendServer server(&registry, server_config);
 
   bool profiling = false;
@@ -326,7 +318,7 @@ int Main(int argc, char** argv) {
   for (auto& future : futures) {
     const Recommendation rec = future.get();
     if (rec.shed()) {
-      ++shed;  // refused by admission/queue: empty slate is the contract
+      ++shed;  // refused by the full queue: empty slate is the contract
     } else if (rec.items.empty()) {
       ++torn;  // a non-shed response must always carry a slate
     } else {
