@@ -8,7 +8,8 @@
 // full-scale paper settings are one flag away from the laptop defaults,
 // and writes its CSV next to the binary under bench_results/. Every value
 // a bench reads goes through dtrec::CheckArg: one that is not a single
-// finite number, or a negative count, names its key and exits 2.
+// finite number, or a negative count, names its key and exits 2, and so
+// does a zero count that the bench divides by or samples from.
 
 #include <cstdio>
 #include <cstdlib>
@@ -62,6 +63,19 @@ inline size_t CountArg(const std::string& key, const std::string& value) {
   return static_cast<size_t>(CheckedArg(key, value, ArgKind::kCount));
 }
 
+/// A count the bench divides by or samples from: CountArg's rule, and a
+/// value that counts to 0 names its key and exits 2 as well.
+inline size_t PositiveCountArg(const std::string& key,
+                               const std::string& value) {
+  const size_t count = CountArg(key, value);
+  if (count == 0) {
+    std::fprintf(stderr, "error: %s=%s must be a positive count\n",
+                 key.c_str(), value.c_str());
+    std::exit(2);
+  }
+  return count;
+}
+
 inline double RealArg(const std::string& key, const std::string& value) {
   return CheckedArg(key, value, ArgKind::kReal);
 }
@@ -71,7 +85,7 @@ inline void ApplyArgs(const BenchArgs& args, DatasetProfile* profile,
                       size_t* seeds) {
   for (const auto& [key, value] : args.raw) {
     if (key == "seeds") {
-      *seeds = CountArg(key, value);
+      *seeds = PositiveCountArg(key, value);
       continue;
     }
     const Status st = ApplyOverride(key, value, profile);

@@ -20,7 +20,7 @@ int Run(int argc, char** argv) {
   bench::BenchArgs args = bench::ParseArgs(argc, argv);
   size_t n = 40000;
   for (const auto& [key, value] : args.raw) {
-    if (key == "n") n = bench::CountArg(key, value);
+    if (key == "n") n = bench::PositiveCountArg(key, value);
   }
 
   // ---- Example 1 ----------------------------------------------------

@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -61,7 +62,7 @@ double TimeNs(const std::function<void()>& fn, double target_seconds) {
 }
 
 struct SweepShape {
-  // "gemm", "gemm_trans_a", "gemm_trans_b", "row_dot", "row_dot_i8"
+  // "gemm", "gemm_trans_a", "gemm_trans_b", "row_dot", "bound_i8"
   const char* kernel;
   size_t m, k, n;
 };
@@ -74,9 +75,10 @@ std::vector<bench::KernelBenchResult> RunKernelSweep(bool smoke) {
       {"gemm", 256, 64, 256},  // the headline shape (ISSUE acceptance)
       {"gemm", 64, 64, 64},
       {"row_dot", 1682, 32, 1},  // serving: items × one user vector
-      // The top-K sweep's int8 bound pass: the benchmark catalogue's codes
-      // against one quantized user (integer ops counted as flops).
-      {"row_dot_i8", 30000, 32, 1},
+      // The top-K sweep's fused int8 bound filter: the benchmark
+      // catalogue's codes against one quantized user, 64-row chunks
+      // (integer ops counted as flops).
+      {"bound_i8", 30000, 32, 1},
   };
   if (!smoke) {
     shapes.push_back({"gemm", 128, 128, 128});
@@ -111,8 +113,13 @@ std::vector<bench::KernelBenchResult> RunKernelSweep(bool smoke) {
     Matrix a, b;
     Matrix c(s.m, std::max<size_t>(s.n, 1));
     std::vector<double> y(s.m);
-    // row_dot_i8: m rows of codes; row 0 doubles as the user's codes.
-    std::vector<int8_t> codes(kernel == "row_dot_i8" ? s.m * s.k : 0);
+    // bound_i8: m rows of codes (row 0 doubles as the user's codes) with
+    // their scales and residuals, and the chunk's bounds.
+    const bool bound_i8 = kernel == "bound_i8";
+    std::vector<int8_t> codes(bound_i8 ? s.m * s.k : 0);
+    std::vector<double> scales(bound_i8 ? s.m : 0);
+    std::vector<double> residuals(bound_i8 ? s.m : 0);
+    double bounds[64];
     if (kernel == "gemm") {
       a = Matrix::RandomNormal(s.m, s.k, 1.0, &rng);
       b = Matrix::RandomNormal(s.k, s.n, 1.0, &rng);
@@ -152,19 +159,32 @@ std::vector<bench::KernelBenchResult> RunKernelSweep(bool smoke) {
                                    s.k, c.data(), s.n);
         benchmark::DoNotOptimize(c.data());
       };
-    } else if (kernel == "row_dot_i8") {
+    } else if (bound_i8) {
       flops = 2.0 * s.m * s.k;
       for (int8_t& v : codes) v = static_cast<int8_t>(rng.UniformIndex(256));
-      blocked = [&, s] {
-        kernels::QuantizedRowDot(s.m, s.k, codes.data(), s.k,
-                                 codes.data(), y.data());
-        benchmark::DoNotOptimize(y.data());
+      for (double& v : scales) v = rng.Uniform() / 127.0;
+      for (double& v : residuals) v = 0.1 * rng.Uniform();
+      const kernels::QuantizedBoundTerms terms{.user_scale = 1.0 / 127.0,
+                                               .user_code_norm = 1.0,
+                                               .shared = 0.5,
+                                               .bias_slack = 1e-9};
+      // A root no bound reaches, as on a flat miss, where nearly every
+      // item is dropped; the kernel's work does not depend on it.
+      const double root = std::numeric_limits<double>::infinity();
+      auto sweep = [&, s, terms, root](auto kernel_fn) {
+        uint64_t kept = 0;
+        for (size_t j = 0; j < s.m; j += 64) {
+          kept |= kernel_fn(std::min<size_t>(64, s.m - j), s.k,
+                            codes.data() + j * s.k, s.k, codes.data(),
+                            scales.data() + j, residuals.data() + j, nullptr,
+                            terms, root, bounds);
+          benchmark::DoNotOptimize(bounds);
+        }
+        benchmark::DoNotOptimize(kept);
       };
-      naive = [&, s] {
-        kernels::naive::QuantizedRowDot(s.m, s.k, codes.data(), s.k,
-                                        codes.data(), y.data());
-        benchmark::DoNotOptimize(y.data());
-      };
+      // By value: the timed calls run after this block has ended.
+      blocked = [sweep] { sweep(kernels::QuantizedBoundMask); };
+      naive = [sweep] { sweep(kernels::naive::QuantizedBoundMask); };
     } else {  // row_dot: m rows of length k against one broadcast vector
       a = Matrix::RandomNormal(s.m, s.k, 1.0, &rng);
       b = Matrix::RandomNormal(1, s.k, 1.0, &rng);

@@ -83,15 +83,15 @@ Args Parse(int argc, char** argv) {
     } else if (key == "k") {
       args.k = bench::CountArg(key, value);
     } else if (key == "dim") {
-      args.dim = bench::CountArg(key, value);
+      args.dim = bench::PositiveCountArg(key, value);
     } else if (key == "cache") {
       args.cache = bench::CountArg(key, value);
     } else if (key == "deadline_ms") {
       args.deadline_ms = bench::RealArg(key, value);
     } else if (key == "users") {
-      args.users = bench::CountArg(key, value);
+      args.users = bench::PositiveCountArg(key, value);
     } else if (key == "items") {
-      args.items = bench::CountArg(key, value);
+      args.items = bench::PositiveCountArg(key, value);
     } else if (key == "unique_users") {
       args.unique_users = bench::CountArg(key, value);
     } else if (key == "seed") {

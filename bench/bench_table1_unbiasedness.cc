@@ -52,7 +52,7 @@ int Run(int argc, char** argv) {
   bench::BenchArgs args = bench::ParseArgs(argc, argv);
   size_t trials = 400;
   for (const auto& [key, value] : args.raw) {
-    if (key == "trials") trials = bench::CountArg(key, value);
+    if (key == "trials") trials = bench::PositiveCountArg(key, value);
   }
 
   TableWriter table(

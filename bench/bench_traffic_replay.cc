@@ -391,11 +391,11 @@ int Main(int argc, char** argv) {
       const std::string key = arg.substr(0, eq);
       const std::string value = arg.substr(eq + 1);
       if (key == "users") {
-        args.users = bench::CountArg(key, value);
+        args.users = bench::PositiveCountArg(key, value);
       } else if (key == "items") {
-        args.items = bench::CountArg(key, value);
+        args.items = bench::PositiveCountArg(key, value);
       } else if (key == "dim") {
-        args.dim = bench::CountArg(key, value);
+        args.dim = bench::PositiveCountArg(key, value);
       } else if (key == "k") {
         args.k = bench::CountArg(key, value);
       } else if (key == "cache") {

@@ -1,5 +1,6 @@
 #include "core/dt_dr.h"
 
+#include "obs/prop_stats.h"
 #include "obs/trace.h"
 #include "util/math_util.h"
 #include "util/numeric_guard.h"
@@ -47,15 +48,17 @@ ag::Var DtDrTrainer::EstimatorLoss(ag::Tape* tape, const Batch& batch,
   w_imputed_.Resize(b, 1);
   w_observed_.Resize(b, 1);
   const Matrix& prop_logits = graph.prop_logits.value();
+  obs::PropensityClipTally clips;
   for (size_t i = 0; i < b; ++i) {
     clipped_p_(i, 0) = ClipPropensity(Sigmoid(prop_logits(i, 0)),
-                                      config_.propensity_clip);
+                                      config_.propensity_clip, &clips);
     DTREC_ASSERT_PROPENSITY(clipped_p_(i, 0));
     pseudo_(i, 0) = imp_.PredictProbability(batch.users[i], batch.items[i]);
     const double o_over_p = batch.observed(i, 0) / clipped_p_(i, 0);
     w_imputed_(i, 0) = (1.0 - o_over_p) * inv_b;
     w_observed_(i, 0) = o_over_p * inv_b;
   }
+  obs::RecordPropensityClips(clips);
   DTREC_ASSERT_FINITE(w_observed_, "DtDrTrainer DR weights");
 
   ag::Var probs = ag::Sigmoid(graph.rating_logits);

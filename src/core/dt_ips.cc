@@ -1,6 +1,7 @@
 #include "core/dt_ips.h"
 
 #include "core/losses.h"
+#include "obs/prop_stats.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
 #include "util/math_util.h"
@@ -111,13 +112,15 @@ ag::Var DtIpsTrainer::EstimatorLoss(ag::Tape* /*tape*/, const Batch& batch,
   ips_weights_.SetZero();
   const double inv_b = 1.0 / static_cast<double>(batch.size());
   const Matrix& prop_logits = graph.prop_logits.value();
+  obs::PropensityClipTally clips;
   for (size_t i = 0; i < batch.size(); ++i) {
     if (batch.observed(i, 0) == 0.0) continue;
     const double p = ClipPropensity(Sigmoid(prop_logits(i, 0)),
-                                    config_.propensity_clip);
+                                    config_.propensity_clip, &clips);
     DTREC_ASSERT_PROPENSITY(p);
     ips_weights_(i, 0) = inv_b / p;
   }
+  obs::RecordPropensityClips(clips);
   DTREC_ASSERT_FINITE(ips_weights_, "DtIpsTrainer IPS weights");
   return ag::SigmoidSquaredErrorSum(graph.rating_logits, batch.ratings,
                                     ips_weights_);

@@ -14,7 +14,8 @@
 //
 // This header is included from the hottest numeric paths, so it depends on
 // nothing but <atomic>/<cstdint> and costs one or two relaxed fetch_adds
-// per call.
+// per call; a loop that clips every row of a batch counts in a local and
+// adds once per batch instead (PropensityClipTally).
 
 namespace dtrec::obs {
 
@@ -30,6 +31,25 @@ inline void RecordPropensityClip(bool fired) {
   internal::g_propensity_clip_total.fetch_add(1, std::memory_order_relaxed);
   if (fired) {
     internal::g_propensity_clip_fired.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+/// Clip counts a per-row loop gathers in a local (ClipPropensity's
+/// tally overload) and adds once per batch with RecordPropensityClips.
+struct PropensityClipTally {
+  uint64_t total = 0;  ///< rows clipped
+  uint64_t fired = 0;  ///< of which below the floor
+};
+
+/// Adds a loop's tally to the counters: what `tally.total`
+/// RecordPropensityClip calls, `tally.fired` of them firing, would add,
+/// in at most two relaxed fetch_adds.
+inline void RecordPropensityClips(const PropensityClipTally& tally) {
+  internal::g_propensity_clip_total.fetch_add(tally.total,
+                                              std::memory_order_relaxed);
+  if (tally.fired != 0) {
+    internal::g_propensity_clip_fired.fetch_add(tally.fired,
+                                                std::memory_order_relaxed);
   }
 }
 

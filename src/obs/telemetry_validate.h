@@ -94,14 +94,15 @@ inline constexpr const char* kServingBenchSchema = "dtrec-bench-serving-v2";
 Status ValidateServingBenchJson(const std::string& content,
                                 ServingBenchGateInputs* gate = nullptr);
 
-/// Schema tag of the kernel micro-bench JSON (BENCH_kernels.json). v4:
-/// the GEMM "naive" rows time the exact blocked-order reference (one
-/// chain from +0 per kKc block, then the blocks in order), about half as
-/// fast as v3's triple loops, so v3's naive GFLOP/s and speedups do not
-/// compare with v4's. The serving top-K rows are still the one exact
-/// sweep ("pruned") against the BruteForceTopK oracle ("naive") on a
-/// skewed- and a flat-norm catalogue, as in v3. Any other tag is rejected.
-inline constexpr const char* kKernelBenchSchema = "dtrec-bench-kernels-v4";
+/// Schema tag of the kernel micro-bench JSON (BENCH_kernels.json). v5:
+/// the int8 row is `bound_i8`, the top-K sweep's fused dot, bound and
+/// root test (kernels::QuantizedBoundMask over 64-row chunks), where v4's
+/// `row_dot_i8` timed the dots alone. The GEMM "naive" rows time the
+/// exact blocked-order reference, as since v4, and the serving top-K rows
+/// are the one exact sweep ("pruned") against the BruteForceTopK oracle
+/// ("naive") on a skewed- and a flat-norm catalogue, as since v3. Any
+/// other tag is rejected.
+inline constexpr const char* kKernelBenchSchema = "dtrec-bench-kernels-v5";
 
 /// Kernel micro-bench JSON: kKernelBenchSchema, a build stamp with the
 /// four flavor fields, and a non-empty results array whose entries carry

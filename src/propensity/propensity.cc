@@ -8,11 +8,10 @@
 namespace dtrec {
 
 double ClipPropensity(double p, double min_p) {
-  DTREC_CHECK_GT(min_p, 0.0);
-  // `fired` = below the floor (the variance failure mode the clip rate
-  // tracks); the benign clamp toward 1 from above does not count.
-  obs::RecordPropensityClip(/*fired=*/p < min_p);
-  return Clamp(p, min_p, 1.0);
+  obs::PropensityClipTally tally;
+  const double clipped = ClipPropensity(p, min_p, &tally);
+  obs::RecordPropensityClips(tally);
+  return clipped;
 }
 
 Status ConstantPropensity::Fit(const RatingDataset& dataset) {

@@ -4,6 +4,9 @@
 #include <string>
 
 #include "data/rating_dataset.h"
+#include "obs/prop_stats.h"
+#include "util/logging.h"
+#include "util/math_util.h"
 #include "util/status.h"
 
 namespace dtrec {
@@ -42,6 +45,19 @@ class PropensityModel {
 /// propensity, and clipping bounds the variance blow-up at tiny values
 /// (the failure mode StableDR targets).
 double ClipPropensity(double p, double min_p);
+
+/// ClipPropensity for a loop over a batch: the same clip, counted into
+/// `tally` rather than the process-wide counters, which the loop then
+/// updates once with obs::RecordPropensityClips.
+inline double ClipPropensity(double p, double min_p,
+                             obs::PropensityClipTally* tally) {
+  DTREC_CHECK_GT(min_p, 0.0);
+  // `fired` = below the floor (the variance failure mode the clip rate
+  // tracks); the benign clamp toward 1 from above does not count.
+  ++tally->total;
+  if (p < min_p) ++tally->fired;
+  return Clamp(p, min_p, 1.0);
+}
 
 /// The MCAR propensity: P(o=1) = |O| / |D|.
 class ConstantPropensity : public PropensityModel {

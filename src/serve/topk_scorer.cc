@@ -1,6 +1,7 @@
 #include "serve/topk_scorer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -59,13 +60,21 @@ class BoundedTopK {
 /// (DESIGN.md §5j).
 constexpr double kBoundSlack = 1e-9;
 
-/// Items per chunk: one chunk-head bound check and one QuantizedRowDot
+/// Items per chunk: one chunk-head bound check and one QuantizedBoundMask
 /// call each. Small enough that a satisfied head bound exits after little
-/// wasted work and the chunk's dots and bounds live on the stack; a
-/// multiple of 4, so every call runs the kernel's 4-row body.
+/// wasted work, the chunk's bounds live on the stack and its keep mask is
+/// one 64-bit word; a multiple of 4, so every call runs the kernel's
+/// 4-row body.
 constexpr size_t kPrunedChunkItems = 64;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The bits of the rows after row t in a chunk of `count` rows.
+inline uint64_t LaterRows(size_t t, size_t count) {
+  const uint64_t through_t = ~uint64_t{0} >> (63 - t);
+  const uint64_t rows = ~uint64_t{0} >> (64 - count);
+  return rows & ~through_t;
+}
 
 }  // namespace
 
@@ -139,41 +148,47 @@ std::vector<ScoredItem> TopKScorer::ScoreFresh(const ServingModel& model,
   const ServingModel::RowCode pu = model.QuantizeUser(user, user_codes.data());
   const double ub = model.user_bias_or_zero(user);
   const double ub_with_slack = ub + kBoundSlack * std::abs(ub);
-  double dots[kPrunedChunkItems];
+  kernels::QuantizedBoundTerms terms{.user_scale = pu.scale,
+                                     .user_code_norm = pu.code_norm,
+                                     .bias_slack = kBoundSlack};
   double bounds[kPrunedChunkItems];
   BoundedTopK heap(k);
   for (size_t j = 0; j < n; j += kPrunedChunkItems) {
     const double pq = pu.norm * index.norms[j];
+    // -∞ while the heap fills, so every item is kept until it is full.
+    double root = -kInf;
     if (heap.full()) {
+      root = heap.worst().score;
       const double bound = pq + (ub + index.bias_max[j]);
       const double slack = kBoundSlack * (std::abs(pq) + std::abs(ub) +
                                           std::abs(index.bias_max[j]));
-      if (bound + slack < heap.worst().score) break;
+      if (bound + slack < root) break;
     }
     const size_t count = std::min(kPrunedChunkItems, n - j);
-    kernels::QuantizedRowDot(count, d, index.codes.data() + j * d, d,
-                             user_codes.data(), dots);
     // Terms shared by the chunk: the user-side error bound, the user bias
     // and their slack.
-    const double shared = pu.residual * index.norms[j] +
-                          kBoundSlack * std::abs(pq) + ub_with_slack;
-    for (size_t t = 0; t < count; ++t) {
-      bounds[t] = pu.scale * index.scales[j + t] * dots[t] +
-                  pu.code_norm * index.residuals[j + t] + shared;
-    }
-    if (!index.bias.empty()) {
-      for (size_t t = 0; t < count; ++t) {
-        const double bi = index.bias[j + t];
-        bounds[t] += bi + kBoundSlack * std::abs(bi);
-      }
-    }
-    // -∞ while the heap fills, so every item is kept until it is full.
-    double root = heap.full() ? heap.worst().score : -kInf;
-    for (size_t t = 0; t < count; ++t) {
+    terms.shared = pu.residual * index.norms[j] +
+                   kBoundSlack * std::abs(pq) + ub_with_slack;
+    uint64_t keep = kernels::QuantizedBoundMask(
+        count, d, index.codes.data() + j * d, d, user_codes.data(),
+        index.scales.data() + j, index.residuals.data() + j,
+        index.bias.empty() ? nullptr : index.bias.data() + j, terms, root,
+        bounds);
+    // The mask holds the items whose bound reaches the root as it stood
+    // before the chunk. With finite scores the root only rises as the heap
+    // takes items, so an item outside the mask stays below it, and each one
+    // inside is checked again against the root it meets, in sweep order.
+    // A NaN score leaves the heap without a total order, and its root can
+    // then fall below the mask's; every later item of the chunk is then
+    // checked, as a sweep without the mask would.
+    const double mask_root = root;
+    for (; keep != 0; keep &= keep - 1) {
+      const size_t t = static_cast<size_t>(std::countr_zero(keep));
       if (bounds[t] < root) continue;
       const uint32_t item = index.items[j + t];
       heap.Offer({item, model.SweepScore(user, item)});
       if (heap.full()) root = heap.worst().score;
+      if (root < mask_root) keep |= LaterRows(t, count);
     }
   }
   return std::move(heap).Sorted();

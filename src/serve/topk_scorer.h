@@ -29,9 +29,10 @@ struct ScoreCacheConfig {
 /// One exact sweep: items are visited in ‖q_i‖-descending order, 64 at a
 /// time, into a bounded min-heap; the sweep stops once the Cauchy–Schwarz
 /// bound on every item not yet visited falls below the heap root. Inside
-/// a chunk an int8 dot (kernels::QuantizedRowDot over the model's
-/// SweepIndex codes) gives each item an admissible score bound, and only
-/// items whose bound reaches the heap root are rescored in fp64. Worst
+/// a chunk one kernels::QuantizedBoundMask call over the model's
+/// SweepIndex codes gives each item an admissible score bound from its
+/// int8 dot and returns the mask of the items whose bound reaches the
+/// heap root; only those are rescored in fp64. Worst
 /// case (flat norms) is one int8 pass over the catalogue, |I|·(d+16)
 /// bytes, plus the fp64 rescoring of the survivors; no full argsort and
 /// no heap-allocated score buffer. Slates are bit-identical to

@@ -229,7 +229,18 @@ inline void MicroKernel(size_t kc, const double* DTREC_RESTRICT a, size_t rs,
 
 #endif
 
-/// Codes per pass of the int8 row-dot. One vpmaddwd step adds at most
+/// One multiply-add step in the kernels' arithmetic: fused under
+/// AVX2+FMA, multiply-then-add otherwise. Spelled out because GCC
+/// contracts a plain `acc + x*y` into an FMA wherever the ISA has one.
+inline double MulAdd(double x, double y, double acc) {
+#if defined(DTREC_KERNEL_AVX2)
+  return std::fma(x, y, acc);
+#else
+  return acc + x * y;
+#endif
+}
+
+/// Codes per pass of the int8 dot. One vpmaddwd step adds at most
 /// 2·128² = 2^15 to an int32 lane, and a lane takes one step per 8 (SSE2)
 /// or 16 (AVX2) codes, so over a block of 2^16 codes every lane, and the
 /// sum of one row's lanes, stays below 2^30. Blocks are folded into a
@@ -247,10 +258,32 @@ inline int32_t QuantizedDot1(size_t k, const int8_t* DTREC_RESTRICT a,
   return s;
 }
 
-// QuantizedDot4 adds the int8 dots of four rows (stride lda) with b, over
-// k ≤ kQuantizedBlock codes, to y[0..4). The SIMD variants share each
-// widened b vector across the four rows and reduce the four accumulators
-// in one horizontal pass. All three return the exact integer sums.
+/// The exact int8 dot of one row with b over any k, blocks folded into a
+/// double from +0.
+inline double QuantizedRowDot1(size_t k, const int8_t* DTREC_RESTRICT a,
+                               const int8_t* DTREC_RESTRICT b) {
+  double s = 0.0;
+  for (size_t p = 0; p < k; p += kQuantizedBlock) {
+    s += QuantizedDot1(std::min(kQuantizedBlock, k - p), a + p, b + p);
+  }
+  return s;
+}
+
+/// One row's bound from its dot, in the order QuantizedBoundMask
+/// documents: the ragged rows, and every row of the scalar build.
+inline double RowBound(double dot, double scale, double residual,
+                       const double* bias, const QuantizedBoundTerms& t) {
+  double bound = MulAdd(t.user_scale * scale, dot,
+                        t.user_code_norm * residual) +
+                 t.shared;
+  if (bias != nullptr) bound += MulAdd(t.bias_slack, std::abs(*bias), *bias);
+  return bound;
+}
+
+// QuantizedDot4 returns the int8 dots of four rows (stride lda) with b,
+// over k ≤ kQuantizedBlock codes, as four int32 lanes. The SIMD variants
+// share each widened b vector across the four rows and reduce the four
+// accumulators in one horizontal pass; the sums are exact.
 #if defined(DTREC_KERNEL_AVX2)
 
 inline __m256i Widen16(const int8_t* p) {
@@ -258,9 +291,8 @@ inline __m256i Widen16(const int8_t* p) {
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
 }
 
-inline void QuantizedDot4(size_t k, const int8_t* DTREC_RESTRICT a,
-                          size_t lda, const int8_t* DTREC_RESTRICT b,
-                          double* DTREC_RESTRICT y) {
+inline __m128i QuantizedDot4(size_t k, const int8_t* DTREC_RESTRICT a,
+                             size_t lda, const int8_t* DTREC_RESTRICT b) {
   const int8_t* a0 = a;
   const int8_t* a1 = a0 + lda;
   const int8_t* a2 = a1 + lda;
@@ -287,8 +319,7 @@ inline void QuantizedDot4(size_t k, const int8_t* DTREC_RESTRICT a,
                             QuantizedDot1(k - p, a2 + p, b + p),
                             QuantizedDot1(k - p, a3 + p, b + p)));
   }
-  _mm256_storeu_pd(y, _mm256_add_pd(_mm256_loadu_pd(y),
-                                    _mm256_cvtepi32_pd(sum)));
+  return sum;
 }
 
 #elif defined(DTREC_KERNEL_SSE2)
@@ -300,9 +331,8 @@ inline __m128i Widen8(const int8_t* p) {
   return _mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8);
 }
 
-inline void QuantizedDot4(size_t k, const int8_t* DTREC_RESTRICT a,
-                          size_t lda, const int8_t* DTREC_RESTRICT b,
-                          double* DTREC_RESTRICT y) {
+inline __m128i QuantizedDot4(size_t k, const int8_t* DTREC_RESTRICT a,
+                             size_t lda, const int8_t* DTREC_RESTRICT b) {
   const int8_t* a0 = a;
   const int8_t* a1 = a0 + lda;
   const int8_t* a2 = a1 + lda;
@@ -331,17 +361,31 @@ inline void QuantizedDot4(size_t k, const int8_t* DTREC_RESTRICT a,
                             QuantizedDot1(k - p, a2 + p, b + p),
                             QuantizedDot1(k - p, a3 + p, b + p)));
   }
-  _mm_storeu_pd(y, _mm_add_pd(_mm_loadu_pd(y), _mm_cvtepi32_pd(sum)));
-  _mm_storeu_pd(y + 2, _mm_add_pd(_mm_loadu_pd(y + 2),
-                                  _mm_cvtepi32_pd(_mm_srli_si128(sum, 8))));
+  return sum;
 }
 
-#else  // portable scalar fallback
-
-inline void QuantizedDot4(size_t k, const int8_t* DTREC_RESTRICT a,
-                          size_t lda, const int8_t* DTREC_RESTRICT b,
-                          double* DTREC_RESTRICT y) {
-  for (size_t r = 0; r < 4; ++r) y[r] += QuantizedDot1(k, a + r * lda, b);
+/// Bounds of two rows from their dots, written to out[0..2); returns
+/// their two keep bits. The SSE2 build has no FMA, so MulAdd is the
+/// rounded product plus the addend.
+inline unsigned BoundPair(__m128d dot, const double* scales,
+                          const double* residuals, const double* bias,
+                          const QuantizedBoundTerms& t, __m128d root,
+                          double* out) {
+  const __m128d scale = _mm_mul_pd(_mm_set1_pd(t.user_scale),
+                                   _mm_loadu_pd(scales));
+  const __m128d residual = _mm_mul_pd(_mm_set1_pd(t.user_code_norm),
+                                      _mm_loadu_pd(residuals));
+  __m128d bound = _mm_add_pd(_mm_add_pd(residual, _mm_mul_pd(scale, dot)),
+                             _mm_set1_pd(t.shared));
+  if (bias != nullptr) {
+    const __m128d bi = _mm_loadu_pd(bias);
+    const __m128d abs_bi = _mm_andnot_pd(_mm_set1_pd(-0.0), bi);
+    bound = _mm_add_pd(
+        bound, _mm_add_pd(bi, _mm_mul_pd(_mm_set1_pd(t.bias_slack), abs_bi)));
+  }
+  _mm_storeu_pd(out, bound);
+  // Not-less-than is true on unordered operands, so NaN keeps the row.
+  return static_cast<unsigned>(_mm_movemask_pd(_mm_cmpnlt_pd(bound, root)));
 }
 
 #endif
@@ -481,39 +525,73 @@ void BatchedRowDot(size_t m, size_t k, const double* a, size_t lda,
   }
 }
 
-void QuantizedRowDot(size_t m, size_t k, const int8_t* a, size_t lda,
-                     const int8_t* b, double* y) {
+uint64_t QuantizedBoundMask(size_t m, size_t k, const int8_t* a, size_t lda,
+                            const int8_t* b, const double* scales,
+                            const double* residuals, const double* bias,
+                            const QuantizedBoundTerms& terms, double root,
+                            double* bounds) {
+  uint64_t keep = 0;
   size_t i = 0;
+#if defined(DTREC_KERNEL_AVX2)
+  const __m256d user_scale = _mm256_set1_pd(terms.user_scale);
+  const __m256d user_code_norm = _mm256_set1_pd(terms.user_code_norm);
+  const __m256d shared = _mm256_set1_pd(terms.shared);
+  const __m256d bias_slack = _mm256_set1_pd(terms.bias_slack);
+  const __m256d rootv = _mm256_set1_pd(root);
   for (; i + 4 <= m; i += 4) {
-    double* yi = y + i;
-    yi[0] = yi[1] = yi[2] = yi[3] = 0.0;
+    __m256d dot = _mm256_setzero_pd();
     for (size_t p = 0; p < k; p += kQuantizedBlock) {
-      QuantizedDot4(std::min(kQuantizedBlock, k - p), a + i * lda + p, lda,
-                    b + p, yi);
+      dot = _mm256_add_pd(
+          dot, _mm256_cvtepi32_pd(QuantizedDot4(
+                   std::min(kQuantizedBlock, k - p), a + i * lda + p, lda,
+                   b + p)));
     }
+    const __m256d scale =
+        _mm256_mul_pd(user_scale, _mm256_loadu_pd(scales + i));
+    const __m256d residual =
+        _mm256_mul_pd(user_code_norm, _mm256_loadu_pd(residuals + i));
+    __m256d bound =
+        _mm256_add_pd(_mm256_fmadd_pd(scale, dot, residual), shared);
+    if (bias != nullptr) {
+      const __m256d bi = _mm256_loadu_pd(bias + i);
+      const __m256d abs_bi = _mm256_andnot_pd(_mm256_set1_pd(-0.0), bi);
+      bound = _mm256_add_pd(bound, _mm256_fmadd_pd(bias_slack, abs_bi, bi));
+    }
+    _mm256_storeu_pd(bounds + i, bound);
+    // Not-less-than, unordered true: a NaN bound or root keeps the row.
+    const __m256d reach = _mm256_cmp_pd(bound, rootv, _CMP_NLT_UQ);
+    keep |= static_cast<uint64_t>(_mm256_movemask_pd(reach)) << i;
   }
+#elif defined(DTREC_KERNEL_SSE2)
+  const __m128d rootv = _mm_set1_pd(root);
+  for (; i + 4 <= m; i += 4) {
+    __m128d dot01 = _mm_setzero_pd(), dot23 = _mm_setzero_pd();
+    for (size_t p = 0; p < k; p += kQuantizedBlock) {
+      const __m128i sum = QuantizedDot4(std::min(kQuantizedBlock, k - p),
+                                        a + i * lda + p, lda, b + p);
+      dot01 = _mm_add_pd(dot01, _mm_cvtepi32_pd(sum));
+      dot23 = _mm_add_pd(dot23, _mm_cvtepi32_pd(_mm_srli_si128(sum, 8)));
+    }
+    const double* bias01 = bias == nullptr ? nullptr : bias + i;
+    const double* bias23 = bias == nullptr ? nullptr : bias + i + 2;
+    const unsigned lo = BoundPair(dot01, scales + i, residuals + i, bias01,
+                                  terms, rootv, bounds + i);
+    const unsigned hi = BoundPair(dot23, scales + i + 2, residuals + i + 2,
+                                  bias23, terms, rootv, bounds + i + 2);
+    keep |= static_cast<uint64_t>(lo | hi << 2) << i;
+  }
+#endif
   for (; i < m; ++i) {
-    double s = 0.0;
-    for (size_t p = 0; p < k; p += kQuantizedBlock) {
-      s += QuantizedDot1(std::min(kQuantizedBlock, k - p), a + i * lda + p,
-                         b + p);
-    }
-    y[i] = s;
+    bounds[i] = RowBound(QuantizedRowDot1(k, a + i * lda, b), scales[i],
+                         residuals[i], bias == nullptr ? nullptr : bias + i,
+                         terms);
+    if (!(bounds[i] < root)) keep |= uint64_t{1} << i;
   }
+  return keep;
 }
 
 namespace naive {
 namespace {
-
-/// One step of an output's chain in the micro-kernel's arithmetic: fused
-/// multiply-add under AVX2+FMA, multiply-then-add otherwise.
-inline double MulAdd(double x, double y, double acc) {
-#if defined(DTREC_KERNEL_AVX2)
-  return std::fma(x, y, acc);
-#else
-  return acc + x * y;
-#endif
-}
 
 /// C = op(A)·op(B), op(A)(i, p) at a[i*ars + p*acs] and op(B)(p, j) at
 /// b[p*brs + j*bcs], in the blocked core's exact order: per output, one
@@ -576,6 +654,27 @@ void QuantizedRowDot(size_t m, size_t k, const int8_t* a, size_t lda,
     }
     y[i] = static_cast<double>(s);
   }
+}
+
+uint64_t QuantizedBoundMask(size_t m, size_t k, const int8_t* a, size_t lda,
+                            const int8_t* b, const double* scales,
+                            const double* residuals, const double* bias,
+                            const QuantizedBoundTerms& terms, double root,
+                            double* bounds) {
+  uint64_t keep = 0;
+  for (size_t i = 0; i < m; ++i) {
+    double dot;
+    QuantizedRowDot(1, k, a + i * lda, lda, b, &dot);
+    double bound = MulAdd(terms.user_scale * scales[i], dot,
+                          terms.user_code_norm * residuals[i]) +
+                   terms.shared;
+    if (bias != nullptr) {
+      bound += MulAdd(terms.bias_slack, std::abs(bias[i]), bias[i]);
+    }
+    bounds[i] = bound;
+    if (!(bound < root)) keep |= uint64_t{1} << i;
+  }
+  return keep;
 }
 
 }  // namespace naive

@@ -10,8 +10,9 @@ namespace dtrec::kernels {
 //
 // Every dense matmul in dtrec lands here: the tensor-level
 // MatMul/MatMulTransA/MatMulTransB free functions and, through them, the
-// autograd matmul forward/backward. Serving scores through the row-dot
-// kernels below (BatchedRowDot, QuantizedRowDot), not through GEMM.
+// autograd matmul forward/backward. Serving scores through the kernels
+// below (BatchedRowDot, and QuantizedBoundMask for the top-K sweep's
+// int8 bounds), not through GEMM.
 //
 // Layout follows the classic BLIS/GotoBLAS decomposition, loop order
 // jc → pc → ic → jr → ir: B is packed into zero-padded kNr-column strips,
@@ -65,16 +66,34 @@ void GemmTransB(size_t m, size_t n, size_t k, const double* a, size_t lda,
 void BatchedRowDot(size_t m, size_t k, const double* a, size_t lda,
                    const double* b, size_t ldb, double* y);
 
-/// Quantized row-dot: y[i] = Σ_p a[i·lda + p]·b[p] over int8 codes, one
-/// shared b row (a quantized user vector) against m rows. Integer
-/// arithmetic throughout, so every variant returns the same value: the
-/// exact dot as an integer-valued double (exact for k < 2^39). AVX2 and
-/// SSE2 variants sign-extend to int16 lanes and multiply-add adjacent
-/// pairs (vpmaddwd) into int32 lanes, which are folded into the double
-/// every 2^16 codes, so no lane overflows at any k; scalar otherwise.
-/// Overwrites y.
-void QuantizedRowDot(size_t m, size_t k, const int8_t* a, size_t lda,
-                     const int8_t* b, double* y);
+/// The terms of the top-K sweep's item bound (DESIGN.md §5j) that every
+/// row of one chunk shares.
+struct QuantizedBoundTerms {
+  double user_scale = 0.0;      ///< s_p, the user's code scale
+  double user_code_norm = 0.0;  ///< ‖p̂‖, the norm of the user's codes
+  double shared = 0.0;          ///< the chunk's user-side terms and slack
+  double bias_slack = 0.0;      ///< relative slack on each item bias
+};
+
+/// The top-K sweep's int8 bound filter over one chunk of m ≤ 64 rows, one
+/// pass in registers. For each row i, with dot_i = Σ_p a[i·lda + p]·b[p]
+/// the exact int8 dot of its codes with the shared user codes b, it
+/// writes
+///   bounds[i] = MulAdd(s_p·scales[i], dot_i, ‖p̂‖·residuals[i]) + shared
+/// plus MulAdd(bias_slack, |bias[i]|, bias[i]) when `bias` is non-null,
+/// and returns the mask whose bit i is set when !(bounds[i] < root): the
+/// rows that may reach the root, a NaN bound or root included. MulAdd is
+/// a fused multiply-add under AVX2+FMA and multiply-then-add otherwise,
+/// in the SIMD body, the ragged rows and the naive reference alike, so
+/// every variant writes the same bytes. The dot is integer arithmetic:
+/// int16 lanes multiply-added in pairs (vpmaddwd) into int32 lanes,
+/// folded into a double every 2^16 codes so no lane overflows, exact for
+/// k < 2^39.
+uint64_t QuantizedBoundMask(size_t m, size_t k, const int8_t* a, size_t lda,
+                            const int8_t* b, const double* scales,
+                            const double* residuals, const double* bias,
+                            const QuantizedBoundTerms& terms, double root,
+                            double* bounds);
 
 // Bit-identity contract of BatchedRowDot, relied on by the pruned serving
 // sweep (ServingModel::SweepScore): a body row's result (i <
@@ -94,6 +113,9 @@ void QuantizedRowDot(size_t m, size_t k, const int8_t* a, size_t lda,
 // the micro-kernel's multiply-add, so the blocked kernels must match them
 // bit for bit. Same overwrite contract as the blocked kernels. No data-
 // dependent skips (the seed's `aik == 0` shortcut turned 0·NaN into 0).
+// QuantizedRowDot is the int8 dot alone, y[i] = Σ_p a[i·lda + p]·b[p] as
+// an integer-valued double; QuantizedBoundMask spells the fused kernel's
+// bound out row by row on top of it.
 namespace naive {
 
 void Gemm(size_t m, size_t n, size_t k, const double* a, size_t lda,
@@ -106,6 +128,11 @@ void BatchedRowDot(size_t m, size_t k, const double* a, size_t lda,
                    const double* b, size_t ldb, double* y);
 void QuantizedRowDot(size_t m, size_t k, const int8_t* a, size_t lda,
                      const int8_t* b, double* y);
+uint64_t QuantizedBoundMask(size_t m, size_t k, const int8_t* a, size_t lda,
+                            const int8_t* b, const double* scales,
+                            const double* residuals, const double* bias,
+                            const QuantizedBoundTerms& terms, double root,
+                            double* bounds);
 
 }  // namespace naive
 

@@ -48,11 +48,6 @@ void ThreadPool::Shutdown() {
   }
 }
 
-size_t ThreadPool::pending() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

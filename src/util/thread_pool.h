@@ -55,13 +55,10 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Tasks queued but not yet picked up (instantaneous, for monitoring).
-  size_t pending() const;
-
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_cv_;   // signals workers: task or stop
   std::condition_variable idle_cv_;   // signals WaitIdle: drained + idle
   std::deque<std::function<void()>> queue_;

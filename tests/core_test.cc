@@ -7,7 +7,9 @@
 #include "core/dt_dr.h"
 #include "core/dt_ips.h"
 #include "core/losses.h"
+#include "data/samplers.h"
 #include "experiments/evaluator.h"
+#include "obs/prop_stats.h"
 #include "synth/mnar_generator.h"
 #include "tensor/ops.h"
 #include "util/math_util.h"
@@ -254,6 +256,49 @@ TEST(DtDrTest, TrainsToValidProbabilities) {
   const RankingMetrics metrics =
       EvaluateRanking(trainer, world.dataset, 5);
   EXPECT_GT(metrics.auc, 0.5);
+}
+
+/// Exposes one TrainStep of a DT trainer.
+template <typename Trainer>
+class StepProbe : public Trainer {
+ public:
+  using Trainer::Trainer;
+  void Step(const Batch& batch) { this->TrainStep(batch); }
+};
+
+/// Clip sites one TrainStep adds to the process-wide total.
+template <typename Trainer>
+uint64_t ClipsPerStep(const SimulatedData& world, const Batch& batch) {
+  TrainConfig config;
+  config.epochs = 0;  // Fit only sets the trainer up
+  config.embedding_dim = 8;
+  config.disentangle_dim = 6;
+  config.seed = 9;
+  StepProbe<Trainer> trainer(config);
+  EXPECT_TRUE(trainer.Fit(world.dataset).ok());
+  const obs::PropensityClipSnapshot before = obs::GetPropensityClipSnapshot();
+  trainer.Step(batch);
+  return obs::GetPropensityClipSnapshot().DeltaSince(before).total;
+}
+
+TEST(DtTest, TrainStepCountsEachEvaluatedRowOnce) {
+  // The estimator loops count their clips in a local and add them once
+  // per batch: DT-IPS clips the observed rows, DT-DR every row.
+  MnarGeneratorConfig gen;
+  gen.num_users = 50;
+  gen.num_items = 60;
+  gen.seed = 5;
+  const SimulatedData world = MnarGenerator(gen).Generate();
+  FullMatrixBatchSampler sampler(world.dataset, 3);
+  const Batch batch = sampler.Sample(256);
+  uint64_t observed = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (batch.observed(i, 0) != 0.0) ++observed;
+  }
+  ASSERT_GT(observed, 0u);
+  ASSERT_LT(observed, batch.size());
+  EXPECT_EQ(ClipsPerStep<DtIpsTrainer>(world, batch), observed);
+  EXPECT_EQ(ClipsPerStep<DtDrTrainer>(world, batch), batch.size());
 }
 
 TEST(DtTest, AblationOrderOnMnarWorld) {

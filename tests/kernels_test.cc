@@ -273,12 +273,169 @@ TEST(KernelsTest, BatchedRowDotLanesArePositionIndependent) {
   }
 }
 
-TEST(KernelsTest, QuantizedRowDotEqualsNaiveExactly) {
-  // Integer arithmetic: every ISA variant must return the naive sum
+/// Random int8 codes spanning the whole range, −128 and 127 included.
+std::vector<int8_t> RandomCodes(size_t n, Rng* rng) {
+  std::vector<int8_t> codes(n);
+  for (int8_t& v : codes) v = static_cast<int8_t>(rng->UniformIndex(256));
+  codes.front() = -128;
+  codes.back() = 127;
+  return codes;
+}
+
+/// The fused kernel's bounds and mask against the naive reference, byte
+/// for byte; every bit at or past m must be clear.
+void ExpectBoundMaskMatchesNaive(size_t m, size_t k,
+                                 const std::vector<int8_t>& a,
+                                 const std::vector<int8_t>& b,
+                                 const std::vector<double>& scales,
+                                 const std::vector<double>& residuals,
+                                 const double* bias,
+                                 const kernels::QuantizedBoundTerms& terms,
+                                 double root, const std::string& what) {
+  double fast[64], ref[64];
+  const uint64_t fast_mask = kernels::QuantizedBoundMask(
+      m, k, a.data(), k, b.data(), scales.data(), residuals.data(), bias,
+      terms, root, fast);
+  const uint64_t ref_mask = kernels::naive::QuantizedBoundMask(
+      m, k, a.data(), k, b.data(), scales.data(), residuals.data(), bias,
+      terms, root, ref);
+  EXPECT_EQ(fast_mask, ref_mask) << what;
+  EXPECT_EQ(std::memcmp(fast, ref, m * sizeof(double)), 0) << what;
+  for (size_t i = 0; i < m; ++i) {
+    EXPECT_EQ((fast_mask >> i) & 1, fast[i] < root ? 0u : 1u)
+        << what << " row " << i;
+  }
+  if (m < 64) {
+    EXPECT_EQ(fast_mask >> m, 0u) << what;
+  }
+}
+
+TEST(KernelsTest, QuantizedBoundMaskEqualsNaiveExactly) {
+  // Every chunk length (the 4-row body and every ragged m % 4), widths on
+  // both sides of the 8- and 16-code SIMD steps, biases on and off, and a
+  // root of −∞, a finite value, +∞ and NaN. The scales, residuals and
+  // terms are random doubles, so a variant that rounds the bound in
+  // another order (say, an FMA where the reference multiplies and adds)
+  // writes other bytes.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(19);
+  const std::vector<double> roots = {-kInf, 0.25, kInf, std::nan("")};
+  for (size_t m = 1; m <= 64; ++m) {
+    for (size_t k : {size_t{1}, size_t{7}, size_t{8}, size_t{15}, size_t{16},
+                     size_t{17}, size_t{31}, size_t{32}, size_t{33},
+                     size_t{64}}) {
+      const std::vector<int8_t> a = RandomCodes(m * k, &rng);
+      const std::vector<int8_t> b = RandomCodes(k, &rng);
+      std::vector<double> scales(m), residuals(m), bias(m);
+      for (size_t i = 0; i < m; ++i) {
+        scales[i] = rng.Uniform() / 127.0;
+        residuals[i] = 0.01 * rng.Uniform();
+        bias[i] = rng.Normal();
+      }
+      const kernels::QuantizedBoundTerms terms{
+          .user_scale = rng.Uniform() / 127.0,
+          .user_code_norm = rng.Uniform(),
+          .shared = rng.Normal(),
+          .bias_slack = 1e-9};
+      for (const double root : roots) {
+        for (const bool with_bias : {false, true}) {
+          ExpectBoundMaskMatchesNaive(
+              m, k, a, b, scales, residuals,
+              with_bias ? bias.data() : nullptr, terms, root,
+              "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                  " root=" + std::to_string(root) +
+                  (with_bias ? " bias" : ""));
+        }
+      }
+    }
+  }
+  // Past 2^16 codes the int32 lanes are folded into the double.
+  const size_t k = (size_t{1} << 16) + 24;
+  for (size_t m : {size_t{1}, size_t{4}, size_t{7}, size_t{64}}) {
+    const std::vector<int8_t> a = RandomCodes(m * k, &rng);
+    const std::vector<int8_t> b = RandomCodes(k, &rng);
+    std::vector<double> scales(m), residuals(m);
+    for (size_t i = 0; i < m; ++i) {
+      scales[i] = rng.Uniform() / 127.0;
+      residuals[i] = rng.Uniform();
+    }
+    const kernels::QuantizedBoundTerms terms{.user_scale = 1.0 / 127.0,
+                                             .user_code_norm = 0.5,
+                                             .shared = 0.125};
+    ExpectBoundMaskMatchesNaive(m, k, a, b, scales, residuals, nullptr,
+                                terms, 0.0, "folded m=" + std::to_string(m));
+  }
+}
+
+TEST(KernelsTest, QuantizedBoundMaskKeepsUncodedRowsAndUsers) {
+  // An uncoded row has s = 0 and r = +∞; an uncoded user has s_p = 0,
+  // ‖p̂‖ = 0 and a +∞ shared term. Every bound they touch is +∞ or NaN,
+  // and the row must be kept under every root, +∞ and NaN included.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(23);
+  const size_t k = 32;
+  for (size_t m : {size_t{5}, size_t{16}, size_t{64}}) {
+    const std::vector<int8_t> a = RandomCodes(m * k, &rng);
+    const std::vector<int8_t> b = RandomCodes(k, &rng);
+    std::vector<double> scales(m), residuals(m), bias(m);
+    for (size_t i = 0; i < m; ++i) {
+      scales[i] = rng.Uniform() / 127.0;
+      residuals[i] = 0.01 * rng.Uniform();
+      bias[i] = rng.Normal();
+    }
+    const std::vector<size_t> uncoded = {0, 2, m - 1};
+    for (size_t i : uncoded) {
+      scales[i] = 0.0;
+      residuals[i] = kInf;
+    }
+    const kernels::QuantizedBoundTerms coded_user{.user_scale = 1.0 / 127.0,
+                                                  .user_code_norm = 0.75,
+                                                  .shared = -1.0,
+                                                  .bias_slack = 1e-9};
+    const kernels::QuantizedBoundTerms uncoded_user{.shared = kInf,
+                                                    .bias_slack = 1e-9};
+    for (const double root : {-kInf, 1e6, kInf, std::nan("")}) {
+      for (const double* b_i : {static_cast<const double*>(nullptr),
+                                static_cast<const double*>(bias.data())}) {
+        const std::string what = "m=" + std::to_string(m) +
+                                 " root=" + std::to_string(root) +
+                                 (b_i != nullptr ? " bias" : "");
+        double bounds[64];
+        uint64_t mask = kernels::QuantizedBoundMask(
+            m, k, a.data(), k, b.data(), scales.data(), residuals.data(),
+            b_i, coded_user, root, bounds);
+        for (size_t i : uncoded) {
+          EXPECT_TRUE(bounds[i] == kInf || std::isnan(bounds[i]))
+              << what << " row " << i << " bound " << bounds[i];
+          EXPECT_EQ((mask >> i) & 1, 1u) << what << " row " << i;
+        }
+        ExpectBoundMaskMatchesNaive(m, k, a, b, scales, residuals, b_i,
+                                    coded_user, root, what);
+        mask = kernels::QuantizedBoundMask(m, k, a.data(), k, b.data(),
+                                           scales.data(), residuals.data(),
+                                           b_i, uncoded_user, root, bounds);
+        for (size_t i = 0; i < m; ++i) {
+          EXPECT_TRUE(bounds[i] == kInf || std::isnan(bounds[i]))
+              << what << " uncoded user, row " << i;
+        }
+        EXPECT_EQ(mask, m == 64 ? ~uint64_t{0} : (uint64_t{1} << m) - 1)
+            << what << " uncoded user";
+        ExpectBoundMaskMatchesNaive(m, k, a, b, scales, residuals, b_i,
+                                    uncoded_user, root,
+                                    what + " uncoded user");
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, QuantizedBoundMaskAtUnitTermsIsTheIntegerDot) {
+  // With s = 1, r = 0 and shared = 0 the bound is the int8 dot itself:
+  // integer arithmetic, so every ISA variant must return the naive sum
   // exactly, over row counts that hit the 4-row body and the ragged rows,
   // widths on both sides of the 8- and 16-code SIMD steps, and codes that
   // span the whole int8 range (−128 included).
   Rng rng(19);
+  const kernels::QuantizedBoundTerms unit{.user_scale = 1.0};
   for (size_t m : {size_t{1}, size_t{4}, size_t{7}, size_t{64}}) {
     for (size_t k : {size_t{1}, size_t{7}, size_t{8}, size_t{15}, size_t{16},
                      size_t{17}, size_t{31}, size_t{32}, size_t{33},
@@ -289,8 +446,11 @@ TEST(KernelsTest, QuantizedRowDotEqualsNaiveExactly) {
       a[0] = -128;
       b[0] = -128;
       a[m * k - 1] = 127;
-      std::vector<double> fast(m), ref(m);
-      kernels::QuantizedRowDot(m, k, a.data(), k, b.data(), fast.data());
+      const std::vector<double> ones(m, 1.0), zeros(m, 0.0);
+      double fast[64];
+      std::vector<double> ref(m);
+      kernels::QuantizedBoundMask(m, k, a.data(), k, b.data(), ones.data(),
+                                  zeros.data(), nullptr, unit, 0.0, fast);
       kernels::naive::QuantizedRowDot(m, k, a.data(), k, b.data(),
                                       ref.data());
       for (size_t i = 0; i < m; ++i) {
@@ -300,13 +460,17 @@ TEST(KernelsTest, QuantizedRowDotEqualsNaiveExactly) {
   }
 }
 
-TEST(KernelsTest, QuantizedRowDotStaysExactPastTheInt32Range) {
+TEST(KernelsTest, QuantizedBoundMaskStaysExactPastTheInt32Range) {
   // All codes −128: each row sums 2^14·k, past 2^31 at this width, so a
   // kernel that kept the whole row in int32 lanes would wrap.
   const size_t m = 5, k = (size_t{1} << 17) + 9;
   const std::vector<int8_t> a(m * k, int8_t{-128}), b(k, int8_t{-128});
-  std::vector<double> fast(m), ref(m);
-  kernels::QuantizedRowDot(m, k, a.data(), k, b.data(), fast.data());
+  const std::vector<double> ones(m, 1.0), zeros(m, 0.0);
+  const kernels::QuantizedBoundTerms unit{.user_scale = 1.0};
+  double fast[m];
+  std::vector<double> ref(m);
+  kernels::QuantizedBoundMask(m, k, a.data(), k, b.data(), ones.data(),
+                              zeros.data(), nullptr, unit, 0.0, fast);
   kernels::naive::QuantizedRowDot(m, k, a.data(), k, b.data(), ref.data());
   for (size_t i = 0; i < m; ++i) {
     EXPECT_EQ(fast[i], 16384.0 * static_cast<double>(k)) << "row " << i;

@@ -879,6 +879,21 @@ TEST(KernelBenchValidatorTest, CommittedFileValidatesAndTrailingBytesDoNot) {
   EXPECT_FALSE(obs::ValidateKernelBenchJson(bytes + "{}").ok());
 }
 
+TEST(KernelBenchValidatorTest, RefusesV4) {
+  // v4's int8 row timed the dots alone; v5's times the fused bound kernel.
+  std::string bytes = ReadCommitted(DTREC_COMMITTED_KERNELS_BENCH);
+  const std::string v5 = "dtrec-bench-kernels-v5";
+  const size_t at = bytes.find(v5);
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, v5.size(), "dtrec-bench-kernels-v4");
+  const Status st = obs::ValidateKernelBenchJson(bytes);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  std::string schema;
+  std::vector<obs::BenchDiffRow> rows;
+  EXPECT_FALSE(obs::ExtractBenchRows(bytes, &schema, &rows).ok());
+}
+
 /// One parser over one valid document: a trace, event stream, metrics
 /// dump, alert stream or profile from the repo's own writers, or a
 /// committed root bench file.
